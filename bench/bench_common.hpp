@@ -25,9 +25,8 @@
 // previous emit (concurrent phases sum their per-task wall time, so phase
 // seconds can exceed total_s on multi-core hosts); `counters` merges every
 // stable AND runtime metrics-registry counter — retry/fault/degradation/
-// checkpoint telemetry from the resilience layer, the rt_/ml_/features_
-// instrumentation and the cache_/llm_cache_ effectiveness counts — and is
-// omitted when empty; `total_s` is
+// checkpoint telemetry from the resilience layer and the rt_/ml_/features_
+// instrumentation — and is omitted when empty; `total_s` is
 // process wall-clock since the previous emit. The file is append-only:
 // rerunning a bench adds new lines rather than rewriting history.
 //
@@ -180,9 +179,9 @@ inline std::chrono::steady_clock::time_point gEmitAnchor =
 /// Builds the phase+counter snapshot as one JSONL record, appends it with
 /// a single atomic write, then resets both registries and the wall-clock
 /// anchor so the next emit reports its own table only. Counters merge the
-/// registry's stable AND runtime sections (names are disjoint): warm-cache
-/// runs move most transport work behind cache_/llm_cache_ counters, and
-/// the perf trajectory should show that, not hide it.
+/// registry's stable AND runtime sections (names are disjoint): transport
+/// work (faults, retries, failovers) is runtime-tagged, and the perf
+/// trajectory should show it, not hide it.
 inline void appendTimes(const std::string& name) {
   const std::map<std::string, double> phases =
       runtime::PhaseTimes::global().snapshot();

@@ -223,8 +223,8 @@ int runPipelineOnce() {
 
   // Deterministic digest of everything the pass produced — every
   // transformed sample byte and every predicted label. This line must be
-  // byte-identical with the result cache off, cold or warm, at any
-  // SCA_THREADS; the CI cache smoke compares it across those runs.
+  // byte-identical at any SCA_THREADS; the CI observability smoke compares
+  // it across thread counts and tests/golden_test.cpp pins its value.
   std::uint64_t digest = util::hash64("pipeline");
   for (const llm::TransformedSample& sample : transformed.samples) {
     digest = util::combine64(digest, util::hash64(sample.source));

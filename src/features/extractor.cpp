@@ -1,35 +1,28 @@
 #include "features/extractor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 
 #include "ast/parser.hpp"
 #include "ast/visit.hpp"
-#include "cache/codec.hpp"
-#include "cache/store.hpp"
 #include "lexer/layout.hpp"
 #include "lexer/lexer.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/timer.hpp"
-#include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace sca::features {
 namespace {
 
 /// Everything the syntactic feature block needs, precomputed from the AST.
-/// The AST itself does not serialize losslessly, so the analysis cache
-/// stores this flat summary instead: kind counts are aligned to the
-/// allStmt/ExprKindNames() tables, doubles are carried verbatim.
+/// The analysis cache keeps this flat summary instead of the AST itself:
+/// kind counts are aligned to the allStmt/ExprKindNames() tables.
 struct SyntacticSummary {
   std::vector<std::uint64_t> stmtKindCounts;  // aligned to allStmtKindNames()
   std::uint64_t stmtTotal = 0;
@@ -79,149 +72,15 @@ SyntacticSummary summarize(const ast::TranslationUnit& unit) {
   return s;
 }
 
-// ---------------------------------------------------- analysis (de)serde --
-// Exact binary encoding (cache/codec.hpp): integers and IEEE-754 bit
-// patterns, so a restored analysis reproduces every feature double bit for
-// bit. Token line/column are NOT persisted — the extractor never reads
-// them. The leading version byte plus the kind-table length checks below
-// make any schema drift a miss, never a misread.
-
-constexpr std::uint8_t kAnalysisVersion = 1;
-
-std::string serializeAnalysis(const Analyzed& a) {
-  cache::ByteWriter w;
-  w.u8(kAnalysisVersion);
-
-  w.u32(static_cast<std::uint32_t>(a.tokens.size()));
-  for (const lexer::Token& t : a.tokens) {
-    w.u8(static_cast<std::uint8_t>(t.kind));
-    w.str(t.text);  // views serialize as bytes; format unchanged (v1)
-  }
-
-  const lexer::LayoutMetrics& m = a.layout;
-  w.u64(m.lineCount);
-  w.u64(m.blankLines);
-  w.u64(m.commentChars);
-  w.u64(m.totalChars);
-  w.u64(m.lineComments);
-  w.u64(m.blockComments);
-  w.u64(m.indentedLines);
-  w.u64(m.tabIndentedLines);
-  w.f64(m.meanIndentWidth);
-  w.u64(m.indentWidth2);
-  w.u64(m.indentWidth4);
-  w.u64(m.indentWidth8);
-  w.u64(m.bracesOwnLine);
-  w.u64(m.bracesEndOfLine);
-  w.u64(m.spacedBinaryOps);
-  w.u64(m.tightBinaryOps);
-  w.u64(m.spaceAfterComma);
-  w.u64(m.noSpaceAfterComma);
-  w.u64(m.spaceAfterKeyword);
-  w.u64(m.noSpaceAfterKeyword);
-  w.f64(m.meanLineLength);
-  w.u64(m.maxLineLength);
-
-  const SyntacticSummary& s = a.syntax;
-  w.u32(static_cast<std::uint32_t>(s.stmtKindCounts.size()));
-  for (const std::uint64_t c : s.stmtKindCounts) w.u64(c);
-  w.u64(s.stmtTotal);
-  w.u32(static_cast<std::uint32_t>(s.exprKindCounts.size()));
-  for (const std::uint64_t c : s.exprKindCounts) w.u64(c);
-  w.u64(s.exprTotal);
-  w.u64(s.maxDepth);
-  w.f64(s.meanDepth);
-  w.u64(s.functionCount);
-  w.f64(s.paramSum);
-  w.u64(s.aliasCount);
-  w.boolean(s.usingNamespaceStd);
-  w.u64(s.includeCount);
-  w.boolean(s.bitsHeader);
-  w.u32(static_cast<std::uint32_t>(s.bigrams.size()));
-  for (const std::string& b : s.bigrams) w.str(b);
-
-  return w.take();
-}
-
-std::shared_ptr<const Analyzed> deserializeAnalysis(std::string_view bytes) {
-  cache::ByteReader r(bytes);
-  if (r.u8() != kAnalysisVersion) return nullptr;
-  auto a = std::make_shared<Analyzed>();
-
-  const std::uint32_t tokenCount = r.u32();
-  if (!r.ok()) return nullptr;
-  std::vector<std::pair<lexer::TokenKind, std::string>> parts;
-  parts.reserve(tokenCount);
-  for (std::uint32_t i = 0; i < tokenCount && r.ok(); ++i) {
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(lexer::TokenKind::EndOfFile)) {
-      return nullptr;
-    }
-    parts.emplace_back(static_cast<lexer::TokenKind>(kind), r.str());
-  }
-  if (!r.ok()) return nullptr;
-  a->tokens = lexer::TokenStream::fromParts(parts);
-
-  lexer::LayoutMetrics& m = a->layout;
-  m.lineCount = r.u64();
-  m.blankLines = r.u64();
-  m.commentChars = r.u64();
-  m.totalChars = r.u64();
-  m.lineComments = r.u64();
-  m.blockComments = r.u64();
-  m.indentedLines = r.u64();
-  m.tabIndentedLines = r.u64();
-  m.meanIndentWidth = r.f64();
-  m.indentWidth2 = r.u64();
-  m.indentWidth4 = r.u64();
-  m.indentWidth8 = r.u64();
-  m.bracesOwnLine = r.u64();
-  m.bracesEndOfLine = r.u64();
-  m.spacedBinaryOps = r.u64();
-  m.tightBinaryOps = r.u64();
-  m.spaceAfterComma = r.u64();
-  m.noSpaceAfterComma = r.u64();
-  m.spaceAfterKeyword = r.u64();
-  m.noSpaceAfterKeyword = r.u64();
-  m.meanLineLength = r.f64();
-  m.maxLineLength = r.u64();
-
-  SyntacticSummary& s = a->syntax;
-  const std::uint32_t stmtKinds = r.u32();
-  if (!r.ok() || stmtKinds != ast::allStmtKindNames().size()) return nullptr;
-  s.stmtKindCounts.resize(stmtKinds);
-  for (std::uint32_t i = 0; i < stmtKinds; ++i) s.stmtKindCounts[i] = r.u64();
-  s.stmtTotal = r.u64();
-  const std::uint32_t exprKinds = r.u32();
-  if (!r.ok() || exprKinds != ast::allExprKindNames().size()) return nullptr;
-  s.exprKindCounts.resize(exprKinds);
-  for (std::uint32_t i = 0; i < exprKinds; ++i) s.exprKindCounts[i] = r.u64();
-  s.exprTotal = r.u64();
-  s.maxDepth = r.u64();
-  s.meanDepth = r.f64();
-  s.functionCount = r.u64();
-  s.paramSum = r.f64();
-  s.aliasCount = r.u64();
-  s.usingNamespaceStd = r.boolean();
-  s.includeCount = r.u64();
-  s.bitsHeader = r.boolean();
-  const std::uint32_t bigramCount = r.u32();
-  if (!r.ok()) return nullptr;
-  s.bigrams.reserve(bigramCount);
-  for (std::uint32_t i = 0; i < bigramCount && r.ok(); ++i) {
-    s.bigrams.push_back(r.str());
-  }
-
-  if (!r.ok() || !r.atEnd()) return nullptr;
+/// Lex + layout + parse of one source, bypassing the memo.
+Analyzed computeAnalysis(const std::string& source) {
+  Analyzed a;
+  a.tokens = lexer::tokenize(source);
+  a.layout = lexer::computeLayoutMetrics(source);
+  // Parse from the stream we already lexed — tokenizing twice per
+  // analysis used to be the second-largest cost of an analysis.
+  a.syntax = summarize(ast::parse(a.tokens).unit);
   return a;
-}
-
-cache::CacheKey analysisKey(const std::string& source) {
-  // hi = namespace + format half (size folds in as a cheap discriminator),
-  // lo = content fingerprint.
-  return cache::CacheKey{
-      util::combine64(util::hash64("sca-analysis-v1"), source.size()),
-      util::hash64(source)};
 }
 
 /// Process-global content-keyed memo of analyses (see extractor.hpp).
@@ -232,8 +91,6 @@ cache::CacheKey analysisKey(const std::string& source) {
 class AnalysisCache {
  public:
   static constexpr std::size_t kMaxEntries = 32768;
-
-  AnalysisCache() : disk_(cache::DiskCache::processCache()) {}
 
   std::shared_ptr<const Analyzed> get(const std::string& source) {
     analyzeCalls_.add();
@@ -246,30 +103,7 @@ class AnalysisCache {
       }
     }
 
-    // In-memory miss: a disk restore replaces lex+layout+parse outright.
-    std::shared_ptr<const Analyzed> analyzed;
-    cache::DiskCache* disk = disk_.load(std::memory_order_acquire);
-    if (disk != nullptr) {
-      if (const std::optional<std::string> blob = disk->get(analysisKey(source))) {
-        analyzed = deserializeAnalysis(*blob);
-        if (analyzed != nullptr) diskRestores_.add();
-      }
-    }
-    if (analyzed == nullptr) {
-      auto fresh = std::make_shared<Analyzed>();
-      fresh->tokens = lexer::tokenize(source);
-      fresh->layout = lexer::computeLayoutMetrics(source);
-      // Parse from the stream we already lexed — tokenizing twice per
-      // analysis used to be the second-largest cost in this function.
-      fresh->syntax = summarize(ast::parse(fresh->tokens).unit);
-      if (disk != nullptr) {
-        // Best effort: a failed spill only costs the next process a
-        // recompute.
-        (void)disk->put(analysisKey(source), serializeAnalysis(*fresh));
-        diskSpills_.add();
-      }
-      analyzed = std::move(fresh);
-    }
+    auto analyzed = std::make_shared<const Analyzed>(computeAnalysis(source));
 
     std::unique_lock lock(mutex_);
     misses_.add();
@@ -284,8 +118,6 @@ class AnalysisCache {
     out.hits = registry.counterValue("features_cache_hits");
     out.misses = registry.counterValue("features_cache_misses");
     out.entries = entries_.size();
-    out.diskRestores = registry.counterValue("features_cache_restores");
-    out.diskSpills = registry.counterValue("features_cache_spills");
     return out;
   }
 
@@ -297,12 +129,6 @@ class AnalysisCache {
     auto& registry = obs::MetricsRegistry::global();
     registry.markResetCounter("features_cache_hits");
     registry.markResetCounter("features_cache_misses");
-    registry.markResetCounter("features_cache_restores");
-    registry.markResetCounter("features_cache_spills");
-  }
-
-  void setDisk(cache::DiskCache* store) {
-    disk_.store(store, std::memory_order_release);
   }
 
   static AnalysisCache& global() {
@@ -313,21 +139,15 @@ class AnalysisCache {
  private:
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const Analyzed>> entries_;
-  std::atomic<cache::DiskCache*> disk_{nullptr};
   // Total analyze() calls are event-deterministic (stable); the hit/miss
   // split is not — two threads can both miss one key before either inserts
-  // it — and the disk split additionally depends on what previous processes
-  // left behind, so all four are kRuntime, kept out of the stable section.
+  // it — so both are kRuntime, kept out of the stable section.
   obs::Counter analyzeCalls_ =
       obs::MetricsRegistry::global().counter("features_analyze_calls");
   obs::Counter hits_ = obs::MetricsRegistry::global().counter(
       "features_cache_hits", obs::Stability::kRuntime);
   obs::Counter misses_ = obs::MetricsRegistry::global().counter(
       "features_cache_misses", obs::Stability::kRuntime);
-  obs::Counter diskRestores_ = obs::MetricsRegistry::global().counter(
-      "features_cache_restores", obs::Stability::kRuntime);
-  obs::Counter diskSpills_ = obs::MetricsRegistry::global().counter(
-      "features_cache_spills", obs::Stability::kRuntime);
 };
 
 std::shared_ptr<const Analyzed> analyze(const std::string& source) {
@@ -625,8 +445,8 @@ namespace {
 
 /// The projection step shared by transform() and transformUncached():
 /// analysis -> feature vector, using only the extractor's public schema
-/// accessors. Where the analysis came from (cache, disk, fresh) cannot
-/// change a single bit of the output.
+/// accessors. Where the analysis came from (memo or fresh) cannot change
+/// a single bit of the output.
 std::vector<double> projectAnalyzed(const FeatureExtractor& ex,
                                     const Analyzed& a) {
   const ExtractorConfig& config = ex.config();
@@ -754,11 +574,7 @@ std::vector<double> FeatureExtractor::transformUncached(
   static obs::Counter uncached = obs::MetricsRegistry::global().counter(
       "features_uncached_transforms", obs::Stability::kRuntime);
   uncached.add();
-  Analyzed a;
-  a.tokens = lexer::tokenize(source);
-  a.layout = lexer::computeLayoutMetrics(source);
-  a.syntax = summarize(ast::parse(a.tokens).unit);
-  return projectAnalyzed(*this, a);
+  return projectAnalyzed(*this, computeAnalysis(source));
 }
 
 std::vector<std::vector<double>> FeatureExtractor::transformAll(
@@ -774,9 +590,5 @@ AnalysisCacheStats analysisCacheStats() {
 }
 
 void clearAnalysisCache() { AnalysisCache::global().clear(); }
-
-void setAnalysisDiskCache(cache::DiskCache* store) {
-  AnalysisCache::global().setDisk(store);
-}
 
 }  // namespace sca::features

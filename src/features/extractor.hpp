@@ -16,10 +16,6 @@
 
 #include "features/vocabulary.hpp"
 
-namespace sca::cache {
-class DiskCache;
-}  // namespace sca::cache
-
 namespace sca::features {
 
 enum class FeatureFamily { Lexical, Layout, Syntactic };
@@ -51,7 +47,7 @@ class FeatureExtractor {
   [[nodiscard]] std::vector<double> transform(const std::string& source) const;
 
   /// transform() minus the process-global analysis cache: lex + layout +
-  /// parse run fresh and nothing is retained in memory or spilled to disk.
+  /// parse run fresh and nothing is retained.
   /// Bit-identical output to transform(). Out-of-core corpus generation
   /// uses this — memoizing 10^5+ distinct sources that are each touched
   /// once would defeat the bounded-RSS contract.
@@ -106,31 +102,17 @@ class FeatureExtractor {
 // for lexing and parsing exactly once. Reads take a shared lock; the cache
 // is safe from parallel extraction tasks, and results are identical with
 // the cache cleared, cold or warm.
-//
-// When a persistent store is attached (by default the SCA_CACHE_DIR process
-// cache), every in-memory miss first consults the disk: a restored analysis
-// skips lex+layout+parse entirely, and every freshly computed analysis is
-// spilled back, so re-extraction cost amortizes across *processes* too.
-// Analyses are serialized exactly (doubles as bit patterns), so feature
-// vectors are byte-identical with the disk cache off, cold or warm.
 
 struct AnalysisCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t entries = 0;
-  std::size_t diskRestores = 0;  // misses served by the persistent store
-  std::size_t diskSpills = 0;    // analyses written to the persistent store
 };
 
 /// Counters since process start (entries = current resident analyses).
 [[nodiscard]] AnalysisCacheStats analysisCacheStats();
 
-/// Drops every cached analysis and zeroes the hit/miss/disk counters.
+/// Drops every cached analysis and zeroes the hit/miss counters.
 void clearAnalysisCache();
-
-/// Attaches (or, with nullptr, detaches) the persistent spill store. The
-/// default is cache::DiskCache::processCache(). Tests use this to point the
-/// cache at a scratch store; callers must keep `store` alive.
-void setAnalysisDiskCache(cache::DiskCache* store);
 
 }  // namespace sca::features

@@ -131,27 +131,6 @@ class Cursor {
 
 }  // namespace
 
-TokenStream TokenStream::fromParts(
-    const std::vector<std::pair<TokenKind, std::string>>& parts) {
-  TokenStream stream;
-  std::size_t total = 0;
-  for (const auto& [kind, text] : parts) total += text.size();
-  stream.buffer_ = std::make_unique<char[]>(total > 0 ? total : 1);
-  stream.sourceSize_ = total;
-  stream.tokens_.reserve(parts.size());
-  std::size_t at = 0;
-  for (const auto& [kind, text] : parts) {
-    std::memcpy(stream.buffer_.get() + at, text.data(), text.size());
-    Token t;
-    t.kind = kind;
-    t.text = std::string_view(stream.buffer_.get() + at, text.size());
-    t.offset = static_cast<std::uint32_t>(at);
-    at += text.size();
-    stream.tokens_.push_back(t);
-  }
-  return stream;
-}
-
 TokenStream tokenize(std::string_view source) {
   TokenStream stream;
   stream.buffer_ = std::make_unique<char[]>(source.size() > 0 ? source.size() : 1);

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -46,14 +45,6 @@ class TokenStream {
   }
   [[nodiscard]] auto begin() const noexcept { return tokens_.begin(); }
   [[nodiscard]] auto end() const noexcept { return tokens_.end(); }
-
-  /// Rebuilds a stream from (kind, text) pairs — the analysis cache's
-  /// deserialization path. The texts are concatenated into a fresh backing
-  /// buffer; offsets are their positions in that buffer and line/column
-  /// are synthesized as 0 (the feature extractor never reads them, and
-  /// serialization does not persist them).
-  [[nodiscard]] static TokenStream fromParts(
-      const std::vector<std::pair<TokenKind, std::string>>& parts);
 
  private:
   friend TokenStream tokenize(std::string_view source);

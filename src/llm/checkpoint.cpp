@@ -4,9 +4,9 @@
 #include <filesystem>
 #include <map>
 
-#include "cache/codec.hpp"
 #include "llm/pipelines.hpp"
 #include "obs/log.hpp"
+#include "util/codec.hpp"
 #include "util/io.hpp"
 #include "util/strings.hpp"
 
@@ -281,7 +281,7 @@ util::Result<std::vector<ChainPackEntry>> readChainPackIndex(
   if (!file.ok()) return file.status();
   const std::string& bytes = file.value();
 
-  cache::ByteReader r(bytes);
+  util::ByteReader r(bytes);
   if (r.str() != kPackMagic || !r.ok()) {
     return stale("bad pack magic in " + packPath);
   }
@@ -365,7 +365,7 @@ util::Result<CompactionResult> compactCheckpoints(const std::string& dir) {
   for (const auto& [name, content] : chains) {
     offset += 4 + name.size() + 8 + 8;
   }
-  cache::ByteWriter w;
+  util::ByteWriter w;
   w.str(kPackMagic);
   w.u64(chains.size());
   for (const auto& [name, content] : chains) {

@@ -14,8 +14,8 @@ constexpr std::string_view kRefusalText =
     "I'm sorry, but I can't help with transforming this code.";
 
 /// Fault schedules are seeded per chain, so the global fault counts are
-/// stable across SCA_THREADS — but NOT across cache states: a warm result
-/// cache serves completions without ever reaching this layer, so the
+/// stable across SCA_THREADS — but NOT across resumed runs: a chain resumed
+/// from its checkpoint (SCA_CHECKPOINT_DIR) never reaches this layer, so the
 /// transport-level counts are runtime-tagged and stay out of the stable
 /// (byte-compared) metrics section. Handles are cached per call site below.
 obs::Counter faultCounter(const char* name) {

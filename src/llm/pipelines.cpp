@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <optional>
 
-#include "cache/store.hpp"
-#include "llm/caching_client.hpp"
 #include "llm/checkpoint.hpp"
 #include "llm/fault_injection.hpp"
 #include "llm/resilient_client.hpp"
@@ -121,7 +119,6 @@ BuildOptions BuildOptions::fromEnv(std::size_t steps) {
       dir != nullptr && *dir != '\0') {
     options.checkpointDir = dir;
   }
-  options.resultCache = cache::DiskCache::processCache();
   return options;
 }
 
@@ -184,15 +181,8 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
         genOptions.year = yearData.year;
         genOptions.seed = util::combine64(util::hash64("gen"), c);
         SyntheticLlm genLlm(genOptions);
-        LlmClient* genClient = &genLlm;
-        std::optional<CachingClient> genCaching;
-        if (options.resultCache != nullptr) {
-          genCaching.emplace(genLlm, *options.resultCache,
-                             llmConfigHash(genOptions, /*faultRate=*/0.0));
-          genClient = &*genCaching;
-        }
         Originals o;
-        o.chatgpt = genClient->tryGenerate(challenge).value();
+        o.chatgpt = genLlm.generate(challenge);
         o.human = corpus::renderSolution(
             yearData.authors[static_cast<std::size_t>(out.humanAuthorId)],
             challenge, yearData.year, static_cast<int>(c));
@@ -281,16 +271,6 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
               retry.seed = chainSeed;
               resilient.emplace(*faulty, retry);
               client = &*resilient;
-            }
-            // The result cache wraps outermost: a warm hit skips the model,
-            // the injected faults and the retries alike, and the
-            // conversation-folded key + replay-on-first-miss policy keeps
-            // every byte identical to an uncached run (caching_client.hpp).
-            std::optional<CachingClient> caching;
-            if (options.resultCache != nullptr) {
-              caching.emplace(*client, *options.resultCache,
-                              llmConfigHash(llm.options(), options.faultRate));
-              client = &*caching;
             }
 
             std::vector<std::string> outputs =

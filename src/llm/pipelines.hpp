@@ -16,10 +16,6 @@
 #include "llm/synthetic_llm.hpp"
 #include "util/status.hpp"
 
-namespace sca::cache {
-class DiskCache;
-}  // namespace sca::cache
-
 namespace sca::llm {
 
 /// The four transformed-code settings of Table II.
@@ -98,13 +94,8 @@ struct BuildOptions {
   /// checkpointing. A resumed build is bit-identical to an uninterrupted
   /// one (chains are independently seeded).
   std::string checkpointDir;
-  /// Persistent result store fronting every client stack (CachingClient is
-  /// wrapped outermost); nullptr disables caching. Outputs are byte-
-  /// identical with the cache off, cold or warm — see caching_client.hpp.
-  cache::DiskCache* resultCache = nullptr;
 
-  /// SCA_FAULT_RATE (double), SCA_CHECKPOINT_DIR (path) and SCA_CACHE_DIR
-  /// (via cache::DiskCache::processCache) over defaults.
+  /// SCA_FAULT_RATE (double) and SCA_CHECKPOINT_DIR (path) over defaults.
   [[nodiscard]] static BuildOptions fromEnv(std::size_t steps = 50);
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "cache/store.hpp"
 #include "obs/log.hpp"
 #include "util/strings.hpp"
 
@@ -12,7 +11,7 @@ namespace {
 
 // Fleet telemetry is runtime-tagged for the same reason the retry layer's
 // is: which shard serves (and how often failover fires) depends on the
-// chaos schedule and cache state, never on the stable output bytes.
+// chaos schedule, never on the stable output bytes.
 obs::Counter fleetCounter(const char* name) {
   return obs::MetricsRegistry::global().counter(name,
                                                 obs::Stability::kRuntime);
@@ -95,7 +94,6 @@ FleetOptions FleetOptions::fromEnv() {
       options.policy.hedgeAfterSeconds = parsed;
     }
   }
-  options.resultCache = cache::DiskCache::processCache();
   return options;
 }
 
@@ -277,9 +275,8 @@ std::vector<ShardEvent> ShardedClient::takeEvents() {
   return out;
 }
 
-ShardedClient::Stack ShardedClient::buildStack(int shard,
-                                               const ShardSnapshot& view,
-                                               bool allowCache) const {
+ShardedClient::Stack ShardedClient::buildStack(
+    int shard, const ShardSnapshot& view) const {
   const FleetOptions& fleetOptions = fleet_.options();
   Stack stack;
   stack.shard = shard;
@@ -313,24 +310,13 @@ ShardedClient::Stack ShardedClient::buildStack(int shard,
     stack.resilient = std::make_unique<ResilientClient>(*stack.faulty, retry);
     stack.top = stack.resilient.get();
   }
-  // The result cache only fronts conversation-OPENING stacks: a fresh
-  // CachingClient starts its conversation key fold at lo_0, so bolting it
-  // onto a mid-conversation rebuild would address request k with request
-  // 1's key. Failover therefore trades cache hits for correctness for the
-  // remainder of the conversation.
-  if (allowCache && fleetOptions.resultCache != nullptr) {
-    stack.caching = std::make_unique<CachingClient>(
-        *stack.top, *fleetOptions.resultCache,
-        llmConfigHash(modelOptions, fleetOptions.faultRate));
-    stack.top = stack.caching.get();
-  }
   return stack;
 }
 
 void ShardedClient::replayHistory(Stack& stack) {
   // Replay is state reconstruction, not API traffic: the completions in
   // the history already happened, so they re-run against the BARE model —
-  // no faults, no retries, no cache — which cannot fail and advances the
+  // no faults, no retries — which cannot fail and advances the
   // conversation/RNG state exactly as the original calls did.
   for (const Turn& turn : history_) {
     if (turn.generate) {
@@ -420,8 +406,7 @@ util::Result<std::string> ShardedClient::dispatchInner(
     // built before slowShard() would otherwise keep serving fast.
     const ShardSnapshot& view = fleet[static_cast<std::size_t>(shard)];
     if (stack_.shard != shard || stack_.slowed != view.slowed) {
-      Stack fresh = buildStack(shard, view,
-                               /*allowCache=*/history_.empty());
+      Stack fresh = buildStack(shard, view);
       replayHistory(fresh);
       stack_ = std::move(fresh);
       if (context.telemetry != nullptr) {
@@ -480,8 +465,7 @@ void ShardedClient::maybeHedge(const Turn& turn, CallContext& context,
   if (context.telemetry != nullptr) ++context.telemetry->hedges;
   // Race the same turn on the next eligible shard. Only a STRICTLY faster
   // response is useful, so the hedge's budget is the incumbent's latency.
-  Stack hedge = buildStack(next, fleet[static_cast<std::size_t>(next)],
-                           /*allowCache=*/false);
+  Stack hedge = buildStack(next, fleet[static_cast<std::size_t>(next)]);
   replayHistory(hedge);
   CallContext hedgeContext = CallContext::withDeadline(charged);
   util::Result<std::string> hedged = callStack(hedge, turn, hedgeContext);

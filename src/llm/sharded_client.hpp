@@ -14,9 +14,9 @@
 //
 //   ShardedClient   one per conversation (chain). Routes the conversation
 //                   to its home shard (chainSeed % N), builds that shard's
-//                   stack (CachingClient -> ResilientClient ->
-//                   FaultInjectingClient -> SyntheticLlm), and on a final
-//                   failure fails over to the next eligible shard.
+//                   stack (ResilientClient -> FaultInjectingClient ->
+//                   SyntheticLlm), and on a final failure fails over to
+//                   the next eligible shard.
 //
 // Determinism rules (DESIGN §2.7):
 //
@@ -28,11 +28,10 @@
 //
 //   * The model is conversation-stateful, so failover cannot just re-issue
 //     the last request elsewhere: the target shard's fresh stack first
-//     REPLAYS the recorded conversation prefix against its (bare) model —
-//     the same trick CachingClient uses on its first miss — and only then
-//     serves the live request. Replay bypasses fault injection: it is
-//     state reconstruction of completions that already happened, not new
-//     API traffic.
+//     REPLAYS the recorded conversation prefix against its (bare) model,
+//     and only then serves the live request. Replay bypasses fault
+//     injection: it is state reconstruction of completions that already
+//     happened, not new API traffic.
 //
 //   * Health state never moves while a batch of requests is in flight.
 //     Requests route against a snapshot(); every routing/serving event is
@@ -78,15 +77,10 @@
 #include <string_view>
 #include <vector>
 
-#include "llm/caching_client.hpp"
 #include "llm/fault_injection.hpp"
 #include "llm/resilient_client.hpp"
 #include "llm/synthetic_llm.hpp"
 #include "obs/metrics.hpp"
-
-namespace sca::cache {
-class DiskCache;
-}  // namespace sca::cache
 
 namespace sca::llm {
 
@@ -116,13 +110,10 @@ struct FleetOptions {
   /// drives the bare model, byte-for-byte the single-client path.
   double faultRate = 0.0;
   int year = 2017;
-  /// Result store for conversation-opening stacks; nullptr disables.
-  cache::DiskCache* resultCache = nullptr;
   FleetPolicy policy;
 
-  /// SCA_SHARDS (int >= 1), SCA_FAULT_RATE (double), SCA_HEDGE_S (double,
-  /// enables hedging) and SCA_CACHE_DIR (via DiskCache::processCache)
-  /// over defaults.
+  /// SCA_SHARDS (int >= 1), SCA_FAULT_RATE (double) and SCA_HEDGE_S
+  /// (double, enables hedging) over defaults.
   [[nodiscard]] static FleetOptions fromEnv();
 };
 
@@ -260,12 +251,10 @@ class ShardedClient : public LlmClient {
     std::unique_ptr<SyntheticLlm> model;
     std::unique_ptr<FaultInjectingClient> faulty;
     std::unique_ptr<ResilientClient> resilient;
-    std::unique_ptr<CachingClient> caching;
     LlmClient* top = nullptr;
   };
 
-  [[nodiscard]] Stack buildStack(int shard, const ShardSnapshot& view,
-                                 bool allowCache) const;
+  [[nodiscard]] Stack buildStack(int shard, const ShardSnapshot& view) const;
   void replayHistory(Stack& stack);
   [[nodiscard]] static util::Result<std::string> callStack(
       Stack& stack, const Turn& turn, CallContext& context);

@@ -14,15 +14,15 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "cache/codec.hpp"
 #include "obs/flight.hpp"
+#include "util/codec.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace sca::ml {
 namespace {
 
-// The payload is written through the little-endian cache codec but read
+// The payload is written through the little-endian byte codec but read
 // back as raw f64/i32 views into the mapping; both sides agree only on a
 // little-endian host (every target this repo builds for).
 static_assert(std::endian::native == std::endian::little,
@@ -41,7 +41,7 @@ std::size_t pageSize() {
 /// the reader validates internal consistency instead of trusting math.
 std::string encodeHeader(std::size_t rows, std::size_t cols,
                          std::uint64_t metaHash) {
-  cache::ByteWriter w;
+  util::ByteWriter w;
   w.str(kMatrixMagic);
   w.u64(rows);
   w.u64(cols);
@@ -263,7 +263,7 @@ util::Result<MatrixFile> MatrixFile::open(const std::string& path,
   file.map_ = static_cast<const char*>(map);
   file.mapBytes_ = size;
 
-  cache::ByteReader r(std::string_view(file.map_, kHeaderBytes));
+  util::ByteReader r(std::string_view(file.map_, kHeaderBytes));
   const std::string magic = r.str();
   const std::uint64_t rows = r.u64();
   const std::uint64_t cols = r.u64();

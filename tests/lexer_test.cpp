@@ -179,23 +179,6 @@ TEST(Lexer, ViewsSurviveStreamMove) {
   EXPECT_EQ(moved[1].text, "beta");
 }
 
-TEST(Lexer, FromPartsRebuildsEquivalentStream) {
-  const auto original = lex("int x = 42; // done");
-  // The EOF token rides along as an ordinary (kind, "") part, mirroring how
-  // cached analyses persist token streams.
-  std::vector<std::pair<TokenKind, std::string>> parts;
-  for (const Token& t : original) {
-    parts.emplace_back(t.kind, std::string(t.text));
-  }
-  const TokenStream rebuilt = TokenStream::fromParts(parts);
-  ASSERT_EQ(rebuilt.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(rebuilt[i].kind, original[i].kind);
-    EXPECT_EQ(rebuilt[i].text, original[i].text);
-  }
-  EXPECT_TRUE(rebuilt[rebuilt.size() - 1].is(TokenKind::EndOfFile));
-}
-
 TEST(Lexer, DotBeforeDigitsIsFloat) {
   const auto tokens = lex(".5 a.b");
   EXPECT_TRUE(tokens[0].is(TokenKind::FloatLiteral));

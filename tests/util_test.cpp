@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -326,6 +330,53 @@ TEST(Table, ToCsvHasHeaderAndRows) {
   table.addSeparator();
   table.addRow({"3", "4"});
   EXPECT_EQ(table.toCsv(), "x,y\n1,2\n3,4\n");
+}
+
+// ----------------------------------------------------------------- codec --
+
+TEST(Codec, RoundTripsEveryFieldKind) {
+  ByteWriter w;
+  w.u8(0xab);
+  w.u32(0xdeadbeef);
+  w.u64(0x0123456789abcdefull);
+  w.f64(3.141592653589793);
+  w.f64(-0.0);
+  w.f64(std::numeric_limits<double>::infinity());
+  w.str("hello \x01 world");
+  w.str("");
+  w.boolean(true);
+  w.boolean(false);
+  const std::string bytes = w.take();
+
+  ByteReader r(bytes);
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
+  EXPECT_EQ(r.f64(), 3.141592653589793);
+  const double negZero = r.f64();
+  EXPECT_EQ(negZero, 0.0);
+  EXPECT_TRUE(std::signbit(negZero));
+  EXPECT_EQ(r.f64(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(r.str(), "hello \x01 world");
+  EXPECT_EQ(r.str(), "");
+  EXPECT_TRUE(r.boolean());
+  EXPECT_FALSE(r.boolean());
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.atEnd());
+}
+
+TEST(Codec, TruncationLatchesNotOkInsteadOfCrashing) {
+  ByteWriter w;
+  w.u64(42);
+  w.str("payload");
+  const std::string bytes = w.take();
+
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    ByteReader r(std::string_view(bytes).substr(0, cut));
+    (void)r.u64();
+    (void)r.str();
+    EXPECT_FALSE(r.ok() && r.atEnd()) << "cut at " << cut;
+  }
 }
 
 }  // namespace

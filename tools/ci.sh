@@ -10,19 +10,16 @@
 #      pipeline exercises the fault-injection/retry/degradation stack and
 #      the parser-hardening paths while ASan watches for memory errors.
 #
-# After the Release configuration, an observability smoke runs the
-# deterministic one-shot pipeline (SCA_PIPELINE_ONCE) at 1 and 8 threads
-# with tracing and fault injection on, validates the emitted manifest and
-# Chrome trace with sca_cli (which exits nonzero on malformed files or an
-# empty metrics snapshot), and byte-compares the stable metrics sections —
-# the registry's thread-count-invariance contract, checked on every PR.
+# After the Release suite, the concurrency-heavy suites (Obs, Flight,
+# Serve, Shard, Runtime) run 20 times in a row, so a test that fails one
+# run in N shows up here rather than as a flaky tier-1 run.
 #
-# A warm-cache smoke then runs the same pipeline with the persistent cache
-# off, cold and warm (SCA_CACHE_DIR), byte-compares outputs and stable
-# metrics across all three states and both thread counts, verifies the
-# store with `sca_cli cache verify`, and runs the micro_cache bench (which
-# exits nonzero unless warm is >= 3x faster than cold with identical
-# digests).
+# An observability smoke then runs the deterministic one-shot pipeline
+# (SCA_PIPELINE_ONCE) at 1 and 8 threads with tracing and fault injection
+# on, validates the emitted manifest and Chrome trace with sca_cli (which
+# exits nonzero on malformed files or an empty metrics snapshot), and
+# byte-compares the "[pipeline]" output lines and the stable metrics
+# sections — the thread-count-invariance contract, checked on every PR.
 #
 # A perf-history smoke then proves the regression gate in both directions:
 # identical re-runs of the one-shot pipeline must pass `sca_cli history
@@ -65,6 +62,9 @@ run_config() {
 }
 
 run_config build-release -DCMAKE_BUILD_TYPE=Release
+echo "=== repeat concurrency suites (build-release) ==="
+ctest --test-dir build-release --output-on-failure -j "$JOBS" \
+  --repeat until-fail:20 -R 'Obs|Flight|Serve|Shard|Runtime'
 
 obs_smoke() {
   echo "=== observability smoke (build-release) ==="
@@ -72,14 +72,15 @@ obs_smoke() {
   rm -rf "$dir" && mkdir -p "$dir"
   local t
   for t in 1 8; do
-    # SCA_CHECKPOINT_DIR and SCA_CACHE_DIR are cleared so a caller's warm
-    # directories cannot change what work the two runs actually perform
-    # (resumed or cache-served chains would legitimately differ).
+    # SCA_CHECKPOINT_DIR is cleared so a caller's checkpoint directory
+    # cannot change what work the two runs actually perform (resumed
+    # chains would legitimately differ).
     (cd "$dir" &&
      SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= \
+       SCA_CHECKPOINT_DIR= \
        SCA_TRACE="trace_t$t.json" SCA_MANIFEST="manifest_t$t.json" \
-       ../bench/micro_pipeline)
+       ../bench/micro_pipeline) | grep '^\[pipeline\]' \
+      > "$dir/pipeline_t$t.txt"
     # Both inspectors fail on malformed input; --stable additionally fails
     # on an empty metrics snapshot (lost telemetry).
     build-release/tools/sca_cli metrics "$dir/manifest_t$t.json" --stable \
@@ -88,61 +89,14 @@ obs_smoke() {
     grep -q '"status":"complete"' "$dir/manifest_t$t.json" ||
       { echo "manifest_t$t.json not marked complete" >&2; exit 1; }
   done
+  cmp "$dir/pipeline_t1.txt" "$dir/pipeline_t8.txt" ||
+    { echo "pipeline output differs between SCA_THREADS=1 and 8" >&2
+      exit 1; }
   cmp "$dir/stable_t1.json" "$dir/stable_t8.json" ||
     { echo "stable metrics differ between SCA_THREADS=1 and 8" >&2; exit 1; }
   echo "=== observability smoke ok ==="
 }
 obs_smoke
-
-# Warm-cache smoke: the persistent cache's hard invariant is that results
-# are byte-identical with the cache off, cold, or warm — at any thread
-# count. Run the deterministic one-shot pipeline in all three states at 1
-# and 8 threads, byte-compare the "[pipeline]" digest lines and the stable
-# metrics sections, and require the warm manifest to show actual hits.
-cache_smoke() {
-  echo "=== warm-cache smoke (build-release) ==="
-  local dir=build-release/cache-smoke
-  rm -rf "$dir" && mkdir -p "$dir"
-  local t mode cachedir
-  for t in 1 8; do
-    for mode in off cold warm; do
-      cachedir="$PWD/$dir/store_t$t"
-      [ "$mode" = off ] && cachedir=
-      (cd "$dir" &&
-       SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_FAULT_RATE=0.05 \
-         SCA_CHECKPOINT_DIR= SCA_CACHE_DIR="$cachedir" \
-         SCA_MANIFEST="manifest_${mode}_t$t.json" \
-         ../bench/micro_pipeline) | grep '^\[pipeline\]' \
-        > "$dir/pipeline_${mode}_t$t.txt"
-      build-release/tools/sca_cli metrics "$dir/manifest_${mode}_t$t.json" \
-        --stable > "$dir/stable_${mode}_t$t.json"
-    done
-    for mode in cold warm; do
-      cmp "$dir/pipeline_off_t$t.txt" "$dir/pipeline_${mode}_t$t.txt" ||
-        { echo "pipeline output differs cache-$mode vs off (t=$t)" >&2
-          exit 1; }
-      cmp "$dir/stable_off_t$t.json" "$dir/stable_${mode}_t$t.json" ||
-        { echo "stable metrics differ cache-$mode vs off (t=$t)" >&2
-          exit 1; }
-    done
-    grep -Eq '"cache_hits":[1-9]' "$dir/manifest_warm_t$t.json" ||
-      { echo "warm manifest shows no cache hits (t=$t)" >&2; exit 1; }
-    build-release/tools/sca_cli cache verify "$dir/store_t$t" ||
-      { echo "cache verify failed (t=$t)" >&2; exit 1; }
-    build-release/tools/sca_cli cache stats "$dir/store_t$t" \
-      "$dir/manifest_warm_t$t.json"
-  done
-  # Thread-count invariance across cache states, not just within one.
-  cmp "$dir/pipeline_warm_t1.txt" "$dir/pipeline_warm_t8.txt" ||
-    { echo "pipeline output differs between SCA_THREADS=1 and 8" >&2
-      exit 1; }
-  # The dedicated bench enforces the warm >= 3x speedup and the off/cold/
-  # warm digest identity on a larger workload (exits nonzero otherwise).
-  (cd "$dir" && SCA_CACHE_DIR="$PWD/bench_store" SCA_THREADS= \
-     ../bench/micro_cache)
-  echo "=== warm-cache smoke ok ==="
-}
-cache_smoke
 
 # Perf-history smoke: the regression gate must have both a demonstrated
 # pass and a demonstrated failure, or it gates nothing. Three clean runs
@@ -159,7 +113,7 @@ history_smoke() {
   run_pipeline() {
     (cd "$dir" &&
      SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= SCA_HISTORY="$hist" \
+       SCA_CHECKPOINT_DIR= SCA_HISTORY="$hist" \
        SCA_OBS_TEST_DELAY_MS="${1:-}" \
        ../bench/micro_pipeline > /dev/null)
   }
@@ -428,7 +382,7 @@ scale_smoke() {
      env "$@" SCA_THREADS="$threads" SCA_SCALE_AUTHORS=64 \
        SCA_SCALE_SHARD="$shard" SCA_SCALE_TRAIN_AUTHORS=24 \
        SCA_SCALE_TREES=6 SCA_SCALE_DIR="$corpus" \
-       SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= \
+       SCA_CHECKPOINT_DIR= \
        SCA_MANIFEST="manifest_$tag.json" \
        ../bench/macro_scale > "out_$tag.txt")
   }
@@ -508,7 +462,7 @@ compaction_smoke() {
   run_once() {
     (cd "$dir" &&
      SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR="$ckpt" SCA_CACHE_DIR= \
+       SCA_CHECKPOINT_DIR="$ckpt" \
        ../bench/micro_pipeline) | grep '^\[pipeline\]'
   }
   run_once > "$dir/pipeline_loose.txt"
@@ -556,7 +510,7 @@ flight_smoke() {
       [ "$mode" = off ] && events=0
       (cd "$dir" &&
        SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_FAULT_RATE=0.05 \
-         SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= \
+         SCA_CHECKPOINT_DIR= \
          SCA_FLIGHT_EVENTS=$events SCA_WATCHDOG_S=2 \
          SCA_FLIGHT_DIR="flight_t${t}_$mode" \
          SCA_MANIFEST="manifest_t${t}_$mode.json" \
@@ -584,7 +538,7 @@ flight_smoke() {
   # the 1s watchdog; the run still completes, the dump names the stall.
   (cd "$dir" &&
    SCA_PIPELINE_ONCE=1 SCA_THREADS=4 SCA_FAULT_RATE=0.05 \
-     SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= \
+     SCA_CHECKPOINT_DIR= \
      SCA_OBS_TEST_STALL_MS=6000 SCA_WATCHDOG_S=1 \
      SCA_FLIGHT_DIR=flight-wedge SCA_MANIFEST=manifest_wedge.json \
      ../bench/micro_pipeline > wedge.out 2>&1) ||

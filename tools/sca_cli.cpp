@@ -13,8 +13,6 @@
 //   sca_cli history list|check|gc [path]            cross-run perf history
 //   sca_cli checkpoints [dir] [--purge-stale|--compact]
 //                                                   inspect/compact checkpoints
-//   sca_cli cache stats|verify|purge [dir] [manifest.json]
-//                                                   inspect the result cache
 //   sca_cli serve                                   JSONL serving loop on
 //                                                   stdin/stdout
 //   sca_cli serve-report <log> [--slowest N]        per-request lifecycle
@@ -36,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/store.hpp"
 #include "core/attribution_model.hpp"
 #include "corpus/dataset.hpp"
 #include "evasion/evasion.hpp"
@@ -99,9 +96,6 @@ void printUsage(std::ostream& out) {
       "                              with --compact, fold loose files into\n"
       "                              the single chains.pack manifest\n"
       "                              (default $SCA_CHECKPOINT_DIR)\n"
-      "  cache stats|verify|purge [dir] [manifest.json]\n"
-      "                              inspect the result cache\n"
-      "                              (default dir: $SCA_CACHE_DIR)\n"
       "  serve                       JSONL serving loop on stdin/stdout\n"
       "                              over a sharded LLM fleet (SCA_SHARDS,\n"
       "                              SCA_FAULT_RATE, SCA_SERVE_QUEUE,\n"
@@ -758,96 +752,6 @@ int cmdServeReport(const std::vector<std::string>& args) {
   return report.requests().empty() ? 1 : 0;
 }
 
-int cmdCache(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const std::string& action = args[0];
-  std::string dir;
-  if (args.size() > 1) {
-    dir = args[1];
-  } else if (const char* env = std::getenv("SCA_CACHE_DIR");
-             env != nullptr && *env != '\0') {
-    dir = env;
-  } else {
-    std::cerr << "error: no directory given and SCA_CACHE_DIR unset\n";
-    return 2;
-  }
-
-  cache::StoreOptions options;
-  options.dir = dir;
-  cache::DiskCache store(options);
-
-  if (action == "stats") {
-    const cache::DiskCache::Stats stats = store.stats();
-    std::cout << "dir:       " << dir << '\n'
-              << "entries:   " << store.entryCount() << '\n'
-              << "bytes:     " << store.totalBytes() << '\n';
-    if (stats.skippedIndexLines > 0) {
-      std::cout << "skipped:   " << stats.skippedIndexLines
-                << " torn index line(s)\n";
-    }
-    // With a manifest, report the run's cache effectiveness (the store's
-    // counters land in the manifest's runtime_metrics section).
-    if (args.size() > 2) {
-      const std::string manifest = readFile(args[2]);
-      const std::string runtimeMetrics =
-          obs::extractJsonObject(manifest, "runtime_metrics");
-      std::vector<std::pair<std::string, std::string>> counters;
-      if (runtimeMetrics.empty() ||
-          !obs::topLevelEntries(
-              obs::extractJsonObject(runtimeMetrics, "counters"), &counters)) {
-        std::cerr << "error: " << args[2] << " has no runtime counters\n";
-        return 1;
-      }
-      double hits = 0.0;
-      double misses = 0.0;
-      std::cout << "run " << manifestField(manifest, "bench") << ":\n";
-      for (const auto& [name, value] : counters) {
-        if (name.rfind("cache_", 0) == 0 || name.rfind("llm_cache_", 0) == 0 ||
-            name.rfind("features_cache_", 0) == 0) {
-          std::cout << "  " << name << " = " << value << '\n';
-        }
-        if (name == "cache_hits") hits = std::strtod(value.c_str(), nullptr);
-        if (name == "cache_misses") {
-          misses = std::strtod(value.c_str(), nullptr);
-        }
-      }
-      // Zero lookups renders "--": a NaN (0/0) or an invented 0.0 would
-      // both misreport a run that simply never touched the cache.
-      std::cout << "  hit ratio = "
-                << (hits + misses > 0.0
-                        ? util::formatDouble(hits / (hits + misses), 4)
-                        : std::string("--"))
-                << '\n';
-    }
-    return 0;
-  }
-
-  if (action == "verify") {
-    const cache::DiskCache::VerifyReport report = store.verify();
-    std::cout << "dir:      " << dir << '\n'
-              << "entries:  " << report.entries << '\n'
-              << "bytes:    " << report.bytes << '\n'
-              << "orphans:  " << report.orphanValues << '\n';
-    for (const std::string& problem : report.problems) {
-      std::cout << "PROBLEM:  " << problem << '\n';
-    }
-    std::cout << (report.ok() ? "ok" : "CORRUPT") << '\n';
-    return report.ok() ? 0 : 1;
-  }
-
-  if (action == "purge") {
-    const util::Status status = store.purge();
-    if (!status.isOk()) {
-      std::cerr << "error: " << status.toString() << '\n';
-      return 1;
-    }
-    std::cout << "purged " << dir << '\n';
-    return 0;
-  }
-
-  return usage();
-}
-
 /// `postmortem <file> [--events N]`: offline reconstruction of a flight-
 /// recorder dump — watchdog stall verdicts and fatal-signal postmortems
 /// share the sca-postmortem-v1 schema.
@@ -895,7 +799,6 @@ int dispatch(const std::string& command,
   if (command == "trace") return cmdTrace(args);
   if (command == "history") return cmdHistory(args);
   if (command == "checkpoints") return cmdCheckpoints(args);
-  if (command == "cache") return cmdCache(args);
   if (command == "serve") return cmdServe(args);
   if (command == "serve-report") return cmdServeReport(args);
   if (command == "postmortem") return cmdPostmortem(args);
