@@ -7,12 +7,10 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "style/infer.hpp"
-#include "util/log.hpp"
 
 int main() {
   sca::bench::Session session("ablation_chain_depth");
   using namespace sca;
-  util::setLogLevel(util::LogLevel::Info);
   core::ExperimentConfig config = core::ExperimentConfig::fromEnv();
   core::YearExperiment experiment(2018, config);
   const core::AttributionModel& oracle = experiment.oracle();

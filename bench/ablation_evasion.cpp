@@ -7,12 +7,10 @@
 #include "core/experiments.hpp"
 #include "evasion/evasion.hpp"
 #include "evasion/mcts.hpp"
-#include "util/log.hpp"
 
 int main() {
   sca::bench::Session session("ablation_evasion");
   using namespace sca;
-  util::setLogLevel(util::LogLevel::Info);
   core::YearExperiment experiment(2018, core::ExperimentConfig::fromEnv());
   const core::AttributionModel& oracle = experiment.oracle();
   const corpus::YearDataset& data = experiment.corpusData();

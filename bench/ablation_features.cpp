@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "ml/metrics.hpp"
-#include "util/log.hpp"
 
 namespace {
 
@@ -43,7 +42,6 @@ double foldAccuracy(const corpus::YearDataset& data,
 
 int main() {
   sca::bench::Session session("ablation_features");
-  util::setLogLevel(util::LogLevel::Info);
   const core::ExperimentConfig config = core::ExperimentConfig::fromEnv();
   core::YearExperiment experiment(2018, config);
   const corpus::YearDataset& data = experiment.corpusData();

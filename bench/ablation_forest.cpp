@@ -7,13 +7,11 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "ml/metrics.hpp"
-#include "util/log.hpp"
 
 int main() {
   sca::bench::Session session("ablation_forest");
   using namespace sca;
   using Clock = std::chrono::steady_clock;
-  util::setLogLevel(util::LogLevel::Info);
   const core::ExperimentConfig config = core::ExperimentConfig::fromEnv();
   core::YearExperiment experiment(2018, config);
   const corpus::YearDataset& data = experiment.corpusData();

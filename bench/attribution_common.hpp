@@ -8,7 +8,6 @@
 
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
-#include "util/log.hpp"
 
 namespace sca::bench {
 
@@ -16,7 +15,6 @@ inline int runAttributionTable(core::Approach approach,
                                const std::string& romanNumeral,
                                const std::string& outputName) {
   Session session(outputName);
-  util::setLogLevel(util::LogLevel::Info);
   const core::ExperimentConfig config = core::ExperimentConfig::fromEnv();
   const bool featureBased = approach == core::Approach::FeatureBased;
 

@@ -2,40 +2,15 @@
 //
 // Every bench prints the same row/column structure as the corresponding
 // table in the paper and mirrors it into bench_out/<name>.csv so results
-// can be diffed across runs. emit() also appends one timing record per
-// table to bench_out/bench_times.json (see below), which is the repo's
-// perf trajectory: phase wall-times per bench, per run, across PRs.
+// can be diffed across runs. CSVs go through util::atomicWriteFile (temp
+// file + rename), so a killed bench never leaves a torn CSV behind.
 //
-// Both writers are crash-safe (util/io.hpp): CSVs go through temp-file +
-// atomic rename, so a killed bench never leaves a torn CSV behind; the
-// bench_times.json record is appended with a single O_APPEND write, so
-// two benches running concurrently interleave whole lines, never partial
-// ones.
-//
-// bench_times.json format — JSON Lines, one self-contained object per
-// emitted table:
-//
-//   {"bench":"table09_feature_based","threads":8,
-//    "phases":{"corpus_build":1.23,"llm_transform":4.56,...},
-//    "counters":{"llm_retries":12,"llm_faults_timeout":7,...},
-//    "total_s":12.34}
-//
-// `threads` is the shared pool's worker count (SCA_THREADS or hardware
-// concurrency); `phases` accumulates runtime::PhaseTimer scopes since the
-// previous emit (concurrent phases sum their per-task wall time, so phase
-// seconds can exceed total_s on multi-core hosts); `counters` merges every
-// stable AND runtime metrics-registry counter — retry/fault/degradation/
-// checkpoint telemetry from the resilience layer and the rt_/ml_/features_
-// instrumentation — and is omitted when empty; `total_s` is
-// process wall-clock since the previous emit. The file is append-only:
-// rerunning a bench adds new lines rather than rewriting history.
-//
-// Each bench main also holds a Session, which writes the versioned run
-// manifest (bench_out/manifest.json, or $SCA_MANIFEST) on exit and
-// flushes the $SCA_TRACE Chrome trace. The manifest schema is documented
-// in src/obs/manifest.hpp; unlike the per-table bench_times records it is
-// run-cumulative (lifetime scope, surviving the per-emit resets) and is
-// rewritten atomically per run, not appended. A Session destroyed before
+// Each bench main also holds a Session, which keeps the run's one
+// performance record. On exit it writes the versioned run manifest
+// (bench_out/manifest.<bench>.json, or $SCA_MANIFEST; schema in
+// src/obs/manifest.hpp), appends one sca-history-v1 record (threads,
+// phase wall-times, counters, total_s, peak RSS; src/obs/history.hpp) and
+// flushes the $SCA_TRACE Chrome trace. A Session destroyed before
 // complete() marks the manifest "status":"partial" so downstream tooling
 // never mistakes a crashed run for a finished one.
 #pragma once
@@ -43,14 +18,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
@@ -106,22 +79,16 @@ class Session {
       options.partialCause = cause.empty() ? "destructor" : cause;
     }
     options.threads = runtime::globalPool().size();
-    if (const char* path = std::getenv("SCA_MANIFEST");
-        path != nullptr && *path != '\0') {
-      // Explicit override: exactly one file, wherever the caller said.
-      options.path = path;
-      report(util::atomicWriteFile(options.path,
-                                   obs::runManifestJson(options)),
-             options.path);
+    const char* path = std::getenv("SCA_MANIFEST");
+    options.path = path != nullptr && *path != '\0'
+                       ? path
+                       : "bench_out/manifest." + benchName_ + ".json";
+    const util::Status manifestStatus = obs::writeRunManifest(options);
+    if (manifestStatus.isOk()) {
+      std::cout << "[manifest] " << options.path << "\n";
     } else {
-      // Per-bench manifest plus a latest-run copy: sequential benches in
-      // one sweep no longer clobber each other, so `sca_cli diff` can
-      // compare any two of them afterwards.
-      const std::string json = obs::runManifestJson(options);
-      options.path = "bench_out/manifest." + benchName_ + ".json";
-      report(util::atomicWriteFile(options.path, json), options.path);
-      report(util::atomicWriteFile("bench_out/manifest.json", json),
-             "bench_out/manifest.json");
+      std::cerr << "[manifest] write failed: " << manifestStatus.toString()
+                << "\n";
     }
 
     const double totalSeconds =
@@ -151,14 +118,6 @@ class Session {
   }
 
  private:
-  static void report(const util::Status& status, const std::string& path) {
-    if (status.isOk()) {
-      std::cout << "[manifest] " << path << "\n";
-    } else {
-      std::cerr << "[manifest] write failed: " << status.toString() << "\n";
-    }
-  }
-
   std::string benchName_;
   std::chrono::steady_clock::time_point start_;
   // Arms the flight recorder's fatal-signal handlers (and the stall
@@ -169,67 +128,12 @@ class Session {
   bool complete_ = false;
 };
 
-namespace detail {
-
-/// Wall-clock anchor for total_s: process start (static init), advanced
-/// after every emit so each record covers its own table only.
-inline std::chrono::steady_clock::time_point gEmitAnchor =
-    std::chrono::steady_clock::now();
-
-/// Builds the phase+counter snapshot as one JSONL record, appends it with
-/// a single atomic write, then resets both registries and the wall-clock
-/// anchor so the next emit reports its own table only. Counters merge the
-/// registry's stable AND runtime sections (names are disjoint): transport
-/// work (faults, retries, failovers) is runtime-tagged, and the perf
-/// trajectory should show it, not hide it.
-inline void appendTimes(const std::string& name) {
-  const std::map<std::string, double> phases =
-      runtime::PhaseTimes::global().snapshot();
-  const obs::MetricsSnapshot metrics =
-      obs::MetricsRegistry::global().snapshot();
-  std::map<std::string, std::uint64_t> counters = metrics.counters;
-  counters.insert(metrics.runtimeCounters.begin(),
-                  metrics.runtimeCounters.end());
-  const auto now = std::chrono::steady_clock::now();
-  const double totalSeconds =
-      std::chrono::duration<double>(now - gEmitAnchor).count();
-
-  util::JsonObjectBuilder record;
-  record.add("bench", name);
-  record.addUint("threads", runtime::globalPool().size());
-  util::JsonObjectBuilder phasesJson;
-  for (const auto& [phase, seconds] : phases) {
-    phasesJson.addDouble(phase, seconds, 3);
-  }
-  record.addRaw("phases", phasesJson.str());
-  if (!counters.empty()) {
-    util::JsonObjectBuilder countersJson;
-    for (const auto& [key, count] : counters) {
-      countersJson.addUint(key, count);
-    }
-    record.addRaw("counters", countersJson.str());
-  }
-  record.addDouble("total_s", totalSeconds, 3);
-
-  if (util::appendLine("bench_out/bench_times.json", record.str()).isOk()) {
-    std::cout << "[times] bench_out/bench_times.json\n";
-  }
-  runtime::PhaseTimes::global().reset();
-  runtime::Counters::global().reset();
-  gEmitAnchor = now;
-}
-
-}  // namespace detail
-
-/// Prints the table, atomically writes its CSV next to the binary and
-/// appends the telemetry record for everything computed since the
-/// previous emit.
+/// Prints the table and atomically writes its CSV next to the binary.
 inline void emit(const util::TablePrinter& table, const std::string& name) {
   table.print(std::cout);
   const std::string path = "bench_out/" + name + ".csv";
   if (util::atomicWriteFile(path, table.toCsv()).isOk()) {
     std::cout << "[csv] " << path << "\n";
-    detail::appendTimes(name);
   }
   std::cout << "\n";
 }

@@ -7,14 +7,12 @@
 
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
-#include "util/log.hpp"
 
 namespace sca::bench {
 
 inline int runDiversityTable(int year, const std::string& romanNumeral,
                              const std::string& outputName) {
   Session session(outputName);
-  util::setLogLevel(util::LogLevel::Info);
   core::YearExperiment experiment(year,
                                   core::ExperimentConfig::fromEnv());
   const auto rows = experiment.diversity(/*minOccurrences=*/2);

@@ -80,7 +80,7 @@ std::string mb(std::size_t bytes) {
 double peakRssKb() {
   obs::recordProcessRusage();
   const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::global().snapshot(obs::Scope::kLifetime);
+      obs::MetricsRegistry::global().snapshot();
   const auto it = snapshot.gauges.find("rusage_max_rss_kb");
   return it == snapshot.gauges.end() ? 0.0 : it->second;
 }

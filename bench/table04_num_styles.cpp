@@ -5,12 +5,10 @@
 
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
-#include "util/log.hpp"
 
 int main() {
   sca::bench::Session session("table04_num_styles");
   using namespace sca;
-  util::setLogLevel(util::LogLevel::Info);
   const core::ExperimentConfig config = core::ExperimentConfig::fromEnv();
 
   util::TablePrinter table(

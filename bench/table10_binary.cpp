@@ -5,12 +5,10 @@
 
 #include "bench_common.hpp"
 #include "core/binary.hpp"
-#include "util/log.hpp"
 
 int main() {
   sca::bench::Session session("table10_binary");
   using namespace sca;
-  util::setLogLevel(util::LogLevel::Info);
   const core::ExperimentConfig config = core::ExperimentConfig::fromEnv();
 
   core::YearExperiment y2017(2017, config);

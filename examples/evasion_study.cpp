@@ -14,7 +14,6 @@
 #include "core/attribution_model.hpp"
 #include "corpus/dataset.hpp"
 #include "llm/pipelines.hpp"
-#include "util/log.hpp"
 
 int main(int argc, char** argv) {
   using namespace sca;

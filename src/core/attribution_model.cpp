@@ -151,18 +151,27 @@ AttributionModel AttributionModel::load(std::istream& is) {
   if (!(is >> tag >> selectedCount) || tag != "selector") {
     throw std::runtime_error("model load: bad selector line");
   }
-  std::vector<std::size_t> selected(selectedCount);
-  for (std::size_t& idx : selected) {
-    if (!(is >> idx)) {
-      throw std::runtime_error("model load: truncated selector");
-    }
-  }
-
   AttributionModel model(config);
   model.extractor_ = features::FeatureExtractor(
       config.extractor, std::move(identVocab), std::move(bigramVocab));
+  const std::size_t dimension = model.extractor_.dimension();
+  std::vector<std::size_t> selected;
+  for (std::size_t i = 0; i < selectedCount; ++i) {
+    std::size_t idx = 0;
+    if (!(is >> idx)) {
+      throw std::runtime_error("model load: truncated selector");
+    }
+    if (idx >= dimension) {
+      throw std::runtime_error("model load: selector index " +
+                               std::to_string(idx) + " out of range");
+    }
+    selected.push_back(idx);
+  }
+  // The forest was fitted on the selector's projection, so its splits
+  // must stay inside that width.
+  const std::size_t projected = selected.empty() ? dimension : selected.size();
   model.selector_ = features::FeatureSelector::fromIndices(std::move(selected));
-  model.forest_ = ml::RandomForest::load(is);
+  model.forest_ = ml::RandomForest::load(is, projected);
   return model;
 }
 

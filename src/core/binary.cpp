@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "ml/metrics.hpp"
-#include "util/log.hpp"
+#include "obs/log.hpp"
 
 namespace sca::core {
 namespace {
@@ -76,8 +76,12 @@ std::vector<FoldOutcome> runFolds(const std::vector<BinaryRow>& rows,
         trainLabels.push_back(row.label);
       }
     }
-    util::logInfo() << "binary fold C" << (held + 1) << ": train "
-                    << trainSources.size() << ", test " << testSources.size();
+    obs::logEvent(obs::LogLevel::kInfo, "core", "binary_fold",
+                  [&](util::JsonObjectBuilder& fields) {
+                    fields.addUint("fold", held + 1);
+                    fields.addUint("train", trainSources.size());
+                    fields.addUint("test", testSources.size());
+                  });
     AttributionModel model(modelConfig);
     model.train(trainSources, trainLabels);
     outcome.predicted = model.predictAll(testSources);

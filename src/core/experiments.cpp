@@ -6,9 +6,9 @@
 #include <set>
 
 #include "ml/metrics.hpp"
+#include "obs/log.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/timer.hpp"
-#include "util/log.hpp"
 
 namespace sca::core {
 namespace {
@@ -49,8 +49,11 @@ YearExperiment::YearExperiment(int year, ExperimentConfig config)
 
 const corpus::YearDataset& YearExperiment::corpusData() {
   if (!corpus_.has_value()) {
-    util::logInfo() << "building " << year_ << " corpus ("
-                    << config_.authorCount << " authors)";
+    obs::logEvent(obs::LogLevel::kInfo, "core", "build_corpus",
+                  [&](util::JsonObjectBuilder& fields) {
+                    fields.addInt("year", year_);
+                    fields.addUint("authors", config_.authorCount);
+                  });
     runtime::PhaseTimer timer("corpus_build");
     corpus_ = corpus::buildYearDataset(year_, config_.authorCount);
   }
@@ -60,8 +63,13 @@ const corpus::YearDataset& YearExperiment::corpusData() {
 const llm::TransformedDataset& YearExperiment::transformedData() {
   if (!transformed_.has_value()) {
     const corpus::YearDataset& data = corpusData();
-    util::logInfo() << "transforming " << year_ << " ("
-                    << config_.steps << " steps x 4 settings x 8 challenges)";
+    obs::logEvent(obs::LogLevel::kInfo, "core", "transform",
+                  [&](util::JsonObjectBuilder& fields) {
+                    fields.addInt("year", year_);
+                    fields.addUint("steps", config_.steps);
+                    fields.addUint("settings", llm::allSettings().size());
+                    fields.addUint("challenges", data.challenges.size());
+                  });
     runtime::PhaseTimer timer("llm_transform");
     transformed_ = llm::buildTransformedDataset(data, config_.steps);
   }
@@ -79,8 +87,11 @@ const AttributionModel& YearExperiment::oracle() {
       sources.push_back(sample.source);
       labels.push_back(sample.authorId);
     }
-    util::logInfo() << "training " << year_ << " oracle on "
-                    << sources.size() << " samples";
+    obs::logEvent(obs::LogLevel::kInfo, "core", "train_oracle",
+                  [&](util::JsonObjectBuilder& fields) {
+                    fields.addInt("year", year_);
+                    fields.addUint("samples", sources.size());
+                  });
     runtime::PhaseTimer timer("oracle_train");
     oracle_ = std::make_unique<AttributionModel>(config_.model);
     oracle_->train(sources, labels);
@@ -97,8 +108,11 @@ const std::vector<int>& YearExperiment::oracleLabels() {
     for (const llm::TransformedSample& sample : transformed.samples) {
       sources.push_back(sample.source);
     }
-    util::logInfo() << "labeling " << sources.size()
-                    << " transformed samples with the oracle";
+    obs::logEvent(obs::LogLevel::kInfo, "core", "label_transformed",
+                  [&](util::JsonObjectBuilder& fields) {
+                    fields.addInt("year", year_);
+                    fields.addUint("samples", sources.size());
+                  });
     runtime::PhaseTimer timer("oracle_predict");
     oracleLabels_ = model.predictAll(sources);
   }
@@ -246,10 +260,14 @@ YearExperiment::AttributionResult YearExperiment::attribution(
             trainLabels.push_back(row.label);
           }
         }
-        util::logInfo() << "attribution(" << approachName(approach)
-                        << ") year " << year_ << " fold C" << (held + 1)
-                        << ": train " << trainSources.size() << ", test "
-                        << testSources.size();
+        obs::logEvent(obs::LogLevel::kInfo, "core", "attribution_fold",
+                      [&](util::JsonObjectBuilder& fields) {
+                        fields.add("approach", approachName(approach));
+                        fields.addInt("year", year_);
+                        fields.addUint("fold", held + 1);
+                        fields.addUint("train", trainSources.size());
+                        fields.addUint("test", testSources.size());
+                      });
         AttributionModel model(config_.model);
         model.train(trainSources, trainLabels);
         const std::vector<int> predicted = model.predictAll(testSources);

@@ -115,8 +115,9 @@ class AnalysisCache {
     auto& registry = obs::MetricsRegistry::global();
     std::shared_lock lock(mutex_);
     AnalysisCacheStats out;
-    out.hits = registry.counterValue("features_cache_hits");
-    out.misses = registry.counterValue("features_cache_misses");
+    out.hits = registry.counterValue("features_cache_hits") - hitsAtClear_;
+    out.misses =
+        registry.counterValue("features_cache_misses") - missesAtClear_;
     out.entries = entries_.size();
     return out;
   }
@@ -124,11 +125,11 @@ class AnalysisCache {
   void clear() {
     std::unique_lock lock(mutex_);
     entries_.clear();
-    // Re-base rather than zero the shards: resetting must not race with a
-    // concurrent get() bumping its own thread's cells.
+    // The registry counters are lifetime totals; stats() reports the
+    // hits and misses since this point by subtracting these values.
     auto& registry = obs::MetricsRegistry::global();
-    registry.markResetCounter("features_cache_hits");
-    registry.markResetCounter("features_cache_misses");
+    hitsAtClear_ = registry.counterValue("features_cache_hits");
+    missesAtClear_ = registry.counterValue("features_cache_misses");
   }
 
   static AnalysisCache& global() {
@@ -139,6 +140,8 @@ class AnalysisCache {
  private:
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const Analyzed>> entries_;
+  std::uint64_t hitsAtClear_ = 0;    // guarded by mutex_
+  std::uint64_t missesAtClear_ = 0;  // guarded by mutex_
   // Total analyze() calls are event-deterministic (stable); the hit/miss
   // split is not — two threads can both miss one key before either inserts
   // it — so both are kRuntime, kept out of the stable section.

@@ -109,10 +109,11 @@ struct AnalysisCacheStats {
   std::size_t entries = 0;
 };
 
-/// Counters since process start (entries = current resident analyses).
+/// Hits and misses since the last clearAnalysisCache() (or process start);
+/// entries = current resident analyses.
 [[nodiscard]] AnalysisCacheStats analysisCacheStats();
 
-/// Drops every cached analysis and zeroes the hit/miss counters.
+/// Drops every cached analysis and restarts the hit/miss counts.
 void clearAnalysisCache();
 
 }  // namespace sca::features

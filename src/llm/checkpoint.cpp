@@ -1,12 +1,7 @@
 #include "llm/checkpoint.hpp"
 
-#include <algorithm>
-#include <filesystem>
-#include <map>
-
 #include "llm/pipelines.hpp"
 #include "obs/log.hpp"
-#include "util/codec.hpp"
 #include "util/io.hpp"
 #include "util/strings.hpp"
 
@@ -14,7 +9,6 @@ namespace sca::llm {
 namespace {
 
 constexpr std::string_view kMagic = "sca-chain-v1";
-constexpr std::string_view kPackMagic = "sca-chainpack-v1";
 
 /// Consumes `prefix` then a run of digits into `out`; advances `name`.
 bool eatNumber(std::string_view& name, std::string_view prefix,
@@ -83,14 +77,12 @@ util::Status writeChainCheckpoint(const std::string& dir, const ChainKey& key,
   return status;
 }
 
-namespace {
-
-/// Validates one chain's JSONL bytes against `key` — shared by the loose
-/// file path and the pack fallback, so where the bytes were stored can
-/// never weaken the validation. `path` only labels error messages.
-util::Result<std::vector<std::string>> parseChainContent(
-    const std::string& content, const ChainKey& key, const std::string& path) {
-  const std::vector<std::string> lines = util::split(content, '\n');
+util::Result<std::vector<std::string>> loadChainCheckpoint(
+    const std::string& dir, const ChainKey& key) {
+  const std::string path = chainCheckpointPath(dir, key);
+  const util::Result<std::string> file = util::readFile(path);
+  if (!file.ok()) return file.status();
+  const std::vector<std::string> lines = util::split(file.value(), '\n');
   if (lines.empty()) return stale("empty checkpoint " + path);
 
   // Header validation: every mismatch means "recompute", never "trust".
@@ -152,22 +144,6 @@ util::Result<std::vector<std::string>> parseChainContent(
                   fields.addUint("steps", outputs.size());
                 });
   return outputs;
-}
-
-}  // namespace
-
-util::Result<std::vector<std::string>> loadChainCheckpoint(
-    const std::string& dir, const ChainKey& key) {
-  const std::string path = chainCheckpointPath(dir, key);
-  util::Result<std::string> file = util::readFile(path);
-  if (file.ok()) return parseChainContent(file.value(), key, path);
-
-  // No loose file: the chain may have been compacted into the pack.
-  const std::string name = std::filesystem::path(path).filename().string();
-  util::Result<std::string> packed =
-      readChainPackEntry(chainPackPath(dir), name);
-  if (!packed.ok()) return file.status();  // original miss, not pack noise
-  return parseChainContent(packed.value(), key, path + " (pack)");
 }
 
 bool parseChainCheckpointFilename(std::string_view name,
@@ -267,133 +243,6 @@ CheckpointInfo inspectChainCheckpoint(const std::string& path) {
   info.complete = true;
   info.verdict = info.stale ? "stale: " + staleReason : "ok";
   return info;
-}
-
-// --------------------------------------------------------- chain pack ----
-
-std::string chainPackPath(const std::string& dir) {
-  return dir + "/chains.pack";
-}
-
-util::Result<std::vector<ChainPackEntry>> readChainPackIndex(
-    const std::string& packPath) {
-  const util::Result<std::string> file = util::readFile(packPath);
-  if (!file.ok()) return file.status();
-  const std::string& bytes = file.value();
-
-  util::ByteReader r(bytes);
-  if (r.str() != kPackMagic || !r.ok()) {
-    return stale("bad pack magic in " + packPath);
-  }
-  const std::uint64_t count = r.u64();
-  if (!r.ok()) return stale("truncated pack index in " + packPath);
-  std::vector<ChainPackEntry> entries;
-  entries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ChainPackEntry entry;
-    entry.name = r.str();
-    entry.offset = r.u64();
-    entry.length = r.u64();
-    if (!r.ok()) return stale("truncated pack index in " + packPath);
-    if (entry.offset > bytes.size() ||
-        entry.length > bytes.size() - entry.offset) {
-      return stale("pack entry out of bounds in " + packPath);
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-util::Result<std::string> readChainPackEntry(const std::string& packPath,
-                                             const std::string& name) {
-  const util::Result<std::vector<ChainPackEntry>> index =
-      readChainPackIndex(packPath);
-  if (!index.ok()) return index.status();
-  for (const ChainPackEntry& entry : index.value()) {
-    if (entry.name != name) continue;
-    // Re-read rather than keep the whole pack resident across the index
-    // call — the loader touches one entry at a time.
-    const util::Result<std::string> file = util::readFile(packPath);
-    if (!file.ok()) return file.status();
-    if (entry.offset + entry.length > file.value().size()) {
-      return stale("pack entry out of bounds in " + packPath);
-    }
-    return file.value().substr(entry.offset, entry.length);
-  }
-  return util::Status(util::StatusCode::kDataLoss,
-                      "no pack entry " + name + " in " + packPath);
-}
-
-util::Result<CompactionResult> compactCheckpoints(const std::string& dir) {
-  namespace fs = std::filesystem;
-  CompactionResult result;
-
-  // Existing pack entries seed the merge; loose files override by name
-  // (a re-run that rewrote a chain after the last compaction must win).
-  std::map<std::string, std::string> chains;
-  const std::string packPath = chainPackPath(dir);
-  if (const auto index = readChainPackIndex(packPath); index.ok()) {
-    const util::Result<std::string> file = util::readFile(packPath);
-    if (file.ok()) {
-      for (const ChainPackEntry& entry : index.value()) {
-        chains[entry.name] =
-            file.value().substr(entry.offset, entry.length);
-      }
-    }
-  }
-
-  std::vector<std::string> looseFiles;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    CheckpointFilenameKey ignored;
-    if (!parseChainCheckpointFilename(name, &ignored)) continue;
-    util::Result<std::string> content = util::readFile(entry.path().string());
-    if (!content.ok()) return content.status();
-    chains[name] = std::move(content.value());
-    looseFiles.push_back(entry.path().string());
-  }
-  if (ec) {
-    return util::Status(util::StatusCode::kDataLoss,
-                        "cannot scan " + dir + ": " + ec.message());
-  }
-  if (chains.empty()) return result;  // nothing to pack, nothing touched
-
-  // Index size is computable up front (str = u32 + bytes, u64 = 8), which
-  // makes every offset absolute without a second pass over the payload.
-  std::size_t offset = 4 + kPackMagic.size() + 8;
-  for (const auto& [name, content] : chains) {
-    offset += 4 + name.size() + 8 + 8;
-  }
-  util::ByteWriter w;
-  w.str(kPackMagic);
-  w.u64(chains.size());
-  for (const auto& [name, content] : chains) {
-    w.str(name);
-    w.u64(offset);
-    w.u64(content.size());
-    offset += content.size();
-  }
-  std::string packed = w.take();
-  for (const auto& [name, content] : chains) packed += content;
-
-  const util::Status written = util::atomicWriteFile(packPath, packed);
-  if (!written.isOk()) return written;
-  result.packedChains = chains.size();
-
-  // The rename has landed; the loose copies are now redundant. A failed
-  // delete costs one extra (byte-identical) copy, never correctness.
-  for (const std::string& path : looseFiles) {
-    std::error_code removeEc;
-    if (fs::remove(path, removeEc) && !removeEc) ++result.removedFiles;
-  }
-  obs::logEvent(obs::LogLevel::kInfo, "checkpoint", "compacted",
-                [&](util::JsonObjectBuilder& fields) {
-                  fields.add("pack", packPath);
-                  fields.addUint("chains", result.packedChains);
-                  fields.addUint("removed", result.removedFiles);
-                });
-  return result;
 }
 
 }  // namespace sca::llm

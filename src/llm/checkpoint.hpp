@@ -105,55 +105,4 @@ struct CheckpointInfo {
 /// reported through headerOk/verdict.
 [[nodiscard]] CheckpointInfo inspectChainCheckpoint(const std::string& path);
 
-// --------------------------------------------------------- chain pack ----
-// One-file-per-chain stops scaling around 10^4 chains: directory scans,
-// inode pressure and per-file open() dominate resume time. The pack folds
-// every completed chain into a single binary manifest (cache/codec
-// layout):
-//
-//   str  magic "sca-chainpack-v1"         (u32 length + bytes)
-//   u64  entryCount
-//   entryCount x { str name, u64 offset, u64 length }
-//   ...payload: the verbatim JSONL bytes of each chain file...
-//
-// `name` is the loose filename ("chain_y2017_s0_c3.jsonl"), offsets are
-// absolute file positions, and the payload bytes are exactly what the
-// loose file held — so a chain loaded from the pack passes the very same
-// header/record validation as one loaded loose, and packing can never
-// launder a stale chain into a fresh one. The pack is replaced atomically
-// (temp + rename); loose files are deleted only after the rename lands, so
-// a kill mid-compaction loses nothing. loadChainCheckpoint prefers the
-// loose file (it is always at least as new) and falls back to the pack.
-
-/// The pack file of a checkpoint directory: <dir>/chains.pack.
-[[nodiscard]] std::string chainPackPath(const std::string& dir);
-
-struct ChainPackEntry {
-  std::string name;  // loose filename the bytes came from
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-};
-
-/// The pack's index, in stored (name-sorted) order. kDataLoss on a
-/// missing, foreign, truncated or internally inconsistent pack.
-[[nodiscard]] util::Result<std::vector<ChainPackEntry>> readChainPackIndex(
-    const std::string& packPath);
-
-/// One chain's verbatim JSONL bytes out of the pack; kDataLoss when the
-/// pack is unreadable or has no such entry.
-[[nodiscard]] util::Result<std::string> readChainPackEntry(
-    const std::string& packPath, const std::string& name);
-
-struct CompactionResult {
-  std::size_t packedChains = 0;  // entries in the rewritten pack
-  std::size_t removedFiles = 0;  // loose files deleted after the rename
-};
-
-/// Merges every loose chain_*.jsonl in `dir` with the existing pack (loose
-/// bytes win on name collision — they are always at least as new), writes
-/// the merged pack atomically, then deletes the loose files. With nothing
-/// to pack the directory is left untouched.
-[[nodiscard]] util::Result<CompactionResult> compactCheckpoints(
-    const std::string& dir);
-
 }  // namespace sca::llm

@@ -6,12 +6,12 @@
 #include "llm/checkpoint.hpp"
 #include "llm/fault_injection.hpp"
 #include "llm/resilient_client.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/timer.hpp"
 #include "style/archetypes.hpp"
-#include "util/log.hpp"
 
 namespace sca::llm {
 namespace {
@@ -28,8 +28,10 @@ util::Result<std::string> transformStep(LlmClient& client,
   static const obs::Counter kDegradedSteps =
       obs::MetricsRegistry::global().counter("llm_degraded_steps");
   kDegradedSteps.add();
-  util::logWarn() << "transform step degraded (" << result.status().toString()
-                  << ")";
+  obs::logEvent(obs::LogLevel::kWarn, "llm", "step_degraded",
+                [&](util::JsonObjectBuilder& fields) {
+                  fields.add("error", result.status().toString());
+                });
   return fallback;
 }
 
@@ -287,8 +289,15 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
                         "ckpt_chains_written");
                 kChainsWritten.add();
               } else {
-                util::logWarn() << "checkpoint write failed: "
-                                << written.toString();
+                static const obs::Counter kWriteFailures =
+                    obs::MetricsRegistry::global().counter(
+                        "ckpt_write_failures", obs::Stability::kRuntime);
+                kWriteFailures.add();
+                obs::logEvent(obs::LogLevel::kWarn, "checkpoint",
+                              "write_failed",
+                              [&](util::JsonObjectBuilder& fields) {
+                                fields.add("error", written.toString());
+                              });
               }
             }
             return outputs;

@@ -7,7 +7,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/timer.hpp"
 #include "util/strings.hpp"
 
 namespace sca::llm {
@@ -63,6 +62,13 @@ obs::Histogram& backoffDelayHistogram() {
       "llm_backoff_delay_s", {0.25, 0.5, 1, 2, 4, 8, 16, 32},
       obs::Stability::kRuntime);
   return histogram;
+}
+
+/// Simulated backoff seconds, reported as the "llm_backoff_sim" phase.
+obs::Gauge& backoffPhaseGauge() {
+  static obs::Gauge gauge = obs::MetricsRegistry::global().gauge(
+      std::string(obs::kPhaseGaugePrefix) + "llm_backoff_sim");
+  return gauge;
 }
 
 }  // namespace
@@ -216,7 +222,7 @@ util::Result<std::string> ResilientClient::perform(
         context.telemetry->backoffSeconds += delay;
       }
       backoffDelayHistogram().observe(delay);
-      runtime::PhaseTimes::global().add("llm_backoff_sim", delay);
+      backoffPhaseGauge().add(delay);
       obs::logEvent(obs::LogLevel::kInfo, "llm", "retry",
                     [&](util::JsonObjectBuilder& fields) {
                       fields.addInt("attempt", attempt);

@@ -219,19 +219,37 @@ void DecisionTree::save(std::ostream& os) const {
   }
 }
 
-DecisionTree DecisionTree::load(std::istream& is) {
+DecisionTree DecisionTree::load(std::istream& is, int classCount,
+                                std::size_t featureCount) {
   std::string tag;
   std::size_t count = 0;
   if (!(is >> tag >> count) || tag != "tree") {
-    throw std::runtime_error("DecisionTree::load: bad header");
+    throw std::runtime_error("model load: bad tree header");
   }
+  // fit() appends both children after their parent, so every tree it
+  // writes has i < child < count; requiring that also rules out cycles.
+  const auto childOk = [&](std::size_t i, int child) {
+    const auto index = static_cast<std::size_t>(child);  // -1 wraps high
+    return index > i && index < count;
+  };
   DecisionTree tree;
-  tree.nodes_.resize(count);
-  for (Node& node : tree.nodes_) {
+  for (std::size_t i = 0; i < count; ++i) {
+    Node node;
     if (!(is >> node.featureIndex >> node.threshold >> node.left >>
           node.right >> node.label >> node.depth)) {
-      throw std::runtime_error("DecisionTree::load: truncated node list");
+      throw std::runtime_error("model load: truncated tree node list");
     }
+    const bool valid =
+        node.featureIndex < 0
+            ? node.featureIndex == -1 && node.label >= 0 &&
+                  node.label < classCount
+            : static_cast<std::size_t>(node.featureIndex) < featureCount &&
+                  childOk(i, node.left) && childOk(i, node.right);
+    if (!valid) {
+      throw std::runtime_error("model load: invalid tree node " +
+                               std::to_string(i));
+    }
+    tree.nodes_.push_back(node);
   }
   return tree;
 }

@@ -46,9 +46,14 @@ class DecisionTree {
   [[nodiscard]] std::size_t depth() const noexcept;
 
   /// Text (de)serialization: one "tree" header line plus one line per node.
-  /// Round-trips exactly (thresholds use max-precision formatting).
+  /// Round-trips exactly (thresholds use max-precision formatting). load()
+  /// fails closed with std::runtime_error on a node that predict() could
+  /// not walk safely: a child index that does not point forward inside the
+  /// tree, a split feature outside [0, featureCount), or a leaf label
+  /// outside [0, classCount).
   void save(std::ostream& os) const;
-  static DecisionTree load(std::istream& is);
+  static DecisionTree load(std::istream& is, int classCount,
+                           std::size_t featureCount);
 
   /// Adds this tree's split counts per feature into `counts` (interior
   /// nodes only). Used for split-frequency feature importance.

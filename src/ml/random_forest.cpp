@@ -70,18 +70,18 @@ void RandomForest::save(std::ostream& os) const {
   for (const DecisionTree& tree : trees_) tree.save(os);
 }
 
-RandomForest RandomForest::load(std::istream& is) {
+RandomForest RandomForest::load(std::istream& is, std::size_t featureCount) {
   std::string tag;
   int classCount = 0;
   std::size_t treeCount = 0;
-  if (!(is >> tag >> classCount >> treeCount) || tag != "forest") {
-    throw std::runtime_error("RandomForest::load: bad header");
+  if (!(is >> tag >> classCount >> treeCount) || tag != "forest" ||
+      classCount <= 0) {
+    throw std::runtime_error("model load: bad forest header");
   }
   RandomForest forest;
   forest.classCount_ = classCount;
-  forest.trees_.reserve(treeCount);
   for (std::size_t t = 0; t < treeCount; ++t) {
-    forest.trees_.push_back(DecisionTree::load(is));
+    forest.trees_.push_back(DecisionTree::load(is, classCount, featureCount));
   }
   return forest;
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -59,9 +60,13 @@ class RandomForest {
   [[nodiscard]] bool trained() const noexcept { return !trees_.empty(); }
 
   /// Text (de)serialization of a trained forest (trees + class count; the
-  /// training hyperparameters are not needed for prediction).
+  /// training hyperparameters are not needed for prediction). load()
+  /// requires a positive class count and checks every tree against it and
+  /// against `featureCount` (DecisionTree::load).
   void save(std::ostream& os) const;
-  static RandomForest load(std::istream& is);
+  static RandomForest load(
+      std::istream& is,
+      std::size_t featureCount = std::numeric_limits<std::size_t>::max());
 
   /// Split-frequency feature importance: how often each feature is used as
   /// a split across the forest, L1-normalized. Cheap, and on stylometric

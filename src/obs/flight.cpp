@@ -466,8 +466,7 @@ void writeWatchdogDump(double intervalSeconds, int quietTicks) {
            "}\n";
   }
 
-  const MetricsSnapshot metrics =
-      MetricsRegistry::global().snapshot(Scope::kLifetime);
+  const MetricsSnapshot metrics = MetricsRegistry::global().snapshot();
   out += "{\"type\":\"metrics\",\"stable\":" + stableMetricsJson(metrics) +
          ",\"runtime\":" + runtimeMetricsJson(metrics) + "}\n";
 

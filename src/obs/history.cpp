@@ -245,8 +245,7 @@ util::Status appendRunHistory(HistoryStore& store,
                               const std::string& benchName,
                               std::size_t threads, bool complete,
                               double totalSeconds) {
-  const MetricsSnapshot snapshot =
-      MetricsRegistry::global().snapshot(Scope::kLifetime);
+  const MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
 
   HistoryRecord record;
   record.bench = benchName;

@@ -3,7 +3,10 @@
 // The metrics registry answers "how many"; traces answer "how long"; this
 // log answers "what happened, in order" — the retry that fired, the
 // breaker that opened, the cache entry that was evicted, the checkpoint
-// that resumed a chain. Each event is one self-contained JSON line:
+// that resumed a chain. It is the repo's one logger: experiment progress
+// (corpus builds, CV folds) and pipeline warnings (degraded transform
+// steps, failed checkpoint writes) land here too. Each event is one
+// self-contained JSON line:
 //
 //   {"ts_ns":182734,"level":"info","tid":2,"span":"000000020000000d",
 //    "component":"llm","event":"retry",
@@ -25,8 +28,8 @@
 // Writing: each record is appended with a single write(2) on an O_APPEND
 // descriptor, so concurrent threads (and processes sharing the file)
 // interleave whole lines, never partial ones — the same guarantee
-// util::appendLine gives bench_times.json. Failed writes are counted, not
-// thrown: diagnostics must never take down the run they describe.
+// util::appendLine gives the run-history store. Failed writes are counted,
+// not thrown: diagnostics must never take down the run they describe.
 //
 // Determinism: the log observes, it never participates — no RNG draws, no
 // branching on log state in computation paths — so every table and stable

@@ -102,7 +102,7 @@ std::string spanEdgesJson() {
 }
 
 /// Gauges under kPhaseGaugePrefix, prefix stripped — the flat phase
-/// wall-times, compatible with the bench_times.json "phases" object.
+/// wall-times, the same keys as the history record's "phases" object.
 std::string phasesJson(const MetricsSnapshot& snapshot) {
   std::string out = "{";
   bool first = true;
@@ -158,8 +158,7 @@ void recordProcessRusage() {
 }
 
 std::string runManifestJson(const RunManifestOptions& options) {
-  const MetricsSnapshot snapshot =
-      MetricsRegistry::global().snapshot(options.scope);
+  const MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
   const Tracer& tracer = Tracer::global();
 
   std::string out = "{\n";

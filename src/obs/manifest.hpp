@@ -53,7 +53,7 @@
 namespace sca::obs {
 
 struct RunManifestOptions {
-  std::string path = "bench_out/manifest.json";
+  std::string path;  // bench::Session: bench_out/manifest.<bench>.json
   std::string benchName;
   bool complete = false;
   // Why a partial manifest is partial: a signal name ("SIGSEGV"),
@@ -61,14 +61,12 @@ struct RunManifestOptions {
   // markComplete). Emitted as "partial_cause" only when !complete, so
   // flight dumps and manifests cross-reference.
   std::string partialCause;
-  std::size_t threads = 0;         // caller-supplied (obs sits below runtime)
-  Scope scope = Scope::kLifetime;  // survives the benches' per-table resets
+  std::size_t threads = 0;  // caller-supplied (obs sits below runtime)
 };
 
 [[nodiscard]] util::Status writeRunManifest(const RunManifestOptions& options);
 
-/// The manifest document as a string — for callers (bench::Session) that
-/// write the same run to more than one path.
+/// The manifest document writeRunManifest writes, as a string.
 [[nodiscard]] std::string runManifestJson(const RunManifestOptions& options);
 
 /// The SHA the manifest/history records pin: SCA_GIT_SHA override, else

@@ -25,11 +25,10 @@
 // always runtime: merging doubles across shards is order-sensitive in
 // floating point, so they can never be byte-stable.
 //
-// reset is non-destructive: markReset*() snapshots a per-cell baseline and
-// Scope::kSinceReset subtracts it, so resetting never races with writers
-// and Scope::kLifetime (what the run manifest reports) survives the
-// per-table resets the benches do. Max gauges always report the lifetime
-// high-water mark (a max cannot be re-based by subtraction).
+// There is no reset: every value is a process-lifetime total, which is
+// what the run manifest, the history record and flight dumps report. A
+// reader that wants a delta stores a value and subtracts it later (the
+// analysis memo's since-clear hit/miss stats do exactly that).
 //
 // The global registry is intentionally immortal (never destroyed), so
 // worker threads detaching their shards during static teardown are safe.
@@ -45,11 +44,10 @@ namespace sca::obs {
 
 enum class Stability { kStable, kRuntime };
 enum class GaugeKind { kSum, kMax };
-enum class Scope { kSinceReset, kLifetime };
 
 /// Gauges recorded under this name prefix are phase wall-times; the
-/// manifest strips the prefix into its "phases" section and
-/// runtime::PhaseTimes registers through it.
+/// manifest and the history record strip the prefix into their "phases"
+/// sections; runtime::PhaseTimer records through it.
 inline constexpr std::string_view kPhaseGaugePrefix = "phase:";
 
 class MetricsRegistry;
@@ -107,9 +105,7 @@ struct HistogramSnapshot {
   [[nodiscard]] std::uint64_t total() const;
 };
 
-/// A merged view of the registry. Zero-valued instruments are omitted, so
-/// a snapshot taken right after a reset is empty regardless of what was
-/// ever registered.
+/// A merged view of the registry. Zero-valued instruments are omitted.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;            // kStable
   std::map<std::string, HistogramSnapshot> histograms;      // kStable
@@ -137,18 +133,10 @@ class MetricsRegistry {
 
   /// Deterministic merge of all shards. Byte-stable for the kStable
   /// sections when the process is quiescent (no in-flight recorders).
-  [[nodiscard]] MetricsSnapshot snapshot(
-      Scope scope = Scope::kSinceReset) const;
+  [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Merged value of one counter (0 if never registered).
-  [[nodiscard]] std::uint64_t counterValue(
-      std::string_view name, Scope scope = Scope::kSinceReset) const;
-
-  /// Baseline the since-reset scope (non-destructive; see file comment).
-  void markReset();
-  void markResetCounters();
-  void markResetGauges();
-  void markResetCounter(std::string_view name);
+  [[nodiscard]] std::uint64_t counterValue(std::string_view name) const;
 
  private:
   struct Shard;

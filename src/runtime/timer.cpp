@@ -3,11 +3,7 @@
 #include <cstdlib>
 #include <thread>
 
-#include "obs/metrics.hpp"
-
-namespace sca::runtime {
-
-namespace detail {
+namespace sca::runtime::detail {
 
 void applyPhaseTestDelay() {
   static const int delayMs = [] {
@@ -19,68 +15,4 @@ void applyPhaseTestDelay() {
   }
 }
 
-}  // namespace detail
-
-namespace {
-
-std::string phaseGaugeName(std::string_view phase) {
-  std::string name;
-  name.reserve(obs::kPhaseGaugePrefix.size() + phase.size());
-  name += obs::kPhaseGaugePrefix;
-  name += phase;
-  return name;
-}
-
-}  // namespace
-
-PhaseTimes& PhaseTimes::global() {
-  static PhaseTimes instance;
-  return instance;
-}
-
-void PhaseTimes::add(std::string_view phase, double seconds) {
-  obs::MetricsRegistry::global()
-      .gauge(phaseGaugeName(phase), obs::GaugeKind::kSum)
-      .add(seconds);
-}
-
-std::map<std::string, double> PhaseTimes::snapshot() const {
-  const obs::MetricsSnapshot merged =
-      obs::MetricsRegistry::global().snapshot(obs::Scope::kSinceReset);
-  std::map<std::string, double> out;
-  for (const auto& [name, seconds] : merged.gauges) {
-    if (name.size() > obs::kPhaseGaugePrefix.size() &&
-        std::string_view(name).substr(0, obs::kPhaseGaugePrefix.size()) ==
-            obs::kPhaseGaugePrefix) {
-      out.emplace(name.substr(obs::kPhaseGaugePrefix.size()), seconds);
-    }
-  }
-  return out;
-}
-
-void PhaseTimes::reset() { obs::MetricsRegistry::global().markResetGauges(); }
-
-Counters& Counters::global() {
-  static Counters instance;
-  return instance;
-}
-
-void Counters::add(std::string_view key, std::uint64_t count) {
-  obs::MetricsRegistry::global().counter(key, obs::Stability::kStable)
-      .add(count);
-}
-
-std::map<std::string, std::uint64_t> Counters::snapshot() const {
-  return obs::MetricsRegistry::global()
-      .snapshot(obs::Scope::kSinceReset)
-      .counters;
-}
-
-std::uint64_t Counters::value(std::string_view key) const {
-  return obs::MetricsRegistry::global().counterValue(key,
-                                                     obs::Scope::kSinceReset);
-}
-
-void Counters::reset() { obs::MetricsRegistry::global().markResetCounters(); }
-
-}  // namespace sca::runtime
+}  // namespace sca::runtime::detail

@@ -1,74 +1,19 @@
-// Lightweight phase timing for the benches — now a thin compatibility shim
-// over the unified obs::MetricsRegistry (src/obs/metrics.hpp).
+// Phase timing for the pipeline stages.
 //
-// Pipeline stages record wall-clock seconds under a phase name
-// ("corpus_build", "feature_extract", "forest_train", "predict", ...).
-// PhaseTimes stores them as registry gauges under obs::kPhaseGaugePrefix,
-// so the same numbers surface in bench_out/bench_times.json (via
-// bench_common.hpp::emit), in the run manifest's "phases" section, and in
-// `sca_cli metrics` — one store, no duplicated bookkeeping.
-//
-// Counters is the integer sibling: resilience/checkpoint events
-// ("llm_retries", "ckpt_chains_loaded", ...) register as *stable* registry
-// counters, meaning their values are identical for every SCA_THREADS
-// setting (the repo's standing determinism invariant).
-//
-// Thread-safety note: registration used to be a mutex-guarded map update
-// in this file; two threads first-touching one phase could race on
-// emplace-vs-iterate in old snapshots. The registry's find-or-create is
-// fully serialized and recording is per-thread lock-free, which fixes that
-// while making phase *recording* cheaper, not dearer.
+// A PhaseTimer scope records its wall-clock seconds under a phase name
+// ("corpus_build", "feature_extract", "forest_train", "predict", ...) as
+// the obs::MetricsRegistry sum-gauge obs::kPhaseGaugePrefix + phase. The
+// run manifest's "phases" section, the history record and `sca_cli
+// metrics` all read those gauges — one store, no second bookkeeping.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace sca::runtime {
-
-class PhaseTimes {
- public:
-  /// The process-global registry view.
-  [[nodiscard]] static PhaseTimes& global();
-
-  /// Accumulates `seconds` onto `phase`.
-  void add(std::string_view phase, double seconds);
-
-  /// Phase -> accumulated seconds since the last reset (zero-valued phases
-  /// omitted), for reporting.
-  [[nodiscard]] std::map<std::string, double> snapshot() const;
-
-  /// Re-bases the since-reset view (emit() resets after writing so each
-  /// bench table reports the phases that produced it). Non-destructive:
-  /// the manifest's lifetime scope still sees the full run.
-  void reset();
-};
-
-/// Event counters, the integer sibling of PhaseTimes (see file comment).
-/// snapshot() now reports *every* stable counter in the registry — the
-/// llm/ckpt events plus the rt_/ml_/features_ counters the instrumented
-/// layers record — so bench_times.json got strictly richer.
-class Counters {
- public:
-  /// The process-global registry view.
-  [[nodiscard]] static Counters& global();
-
-  /// Adds `count` onto `key`.
-  void add(std::string_view key, std::uint64_t count = 1);
-
-  /// Key -> accumulated count since the last reset (zeros omitted).
-  [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
-
-  /// Total for one key since the last reset (0 if never counted).
-  [[nodiscard]] std::uint64_t value(std::string_view key) const;
-
-  /// Re-bases the since-reset view (non-destructive, like PhaseTimes).
-  void reset();
-};
 
 namespace detail {
 /// CI slowdown-injection hook: sleeps SCA_OBS_TEST_DELAY_MS milliseconds
@@ -78,20 +23,20 @@ namespace detail {
 void applyPhaseTestDelay();
 }  // namespace detail
 
-/// RAII: adds the scope's wall time to PhaseTimes::global() on destruction,
-/// and brackets the scope with an obs::Span so phases show up in Chrome
-/// traces with parent linkage when SCA_TRACE is set.
+/// RAII: adds the scope's wall time to the phase's registry gauge on
+/// destruction, and brackets the scope with an obs::Span so phases show up
+/// in Chrome traces with parent linkage when SCA_TRACE is set.
 class PhaseTimer {
  public:
   explicit PhaseTimer(std::string phase)
       : span_(phase, "phase"),
-        phase_(std::move(phase)),
+        gauge_(obs::MetricsRegistry::global().gauge(
+            std::string(obs::kPhaseGaugePrefix) + phase)),
         start_(std::chrono::steady_clock::now()) {}
   ~PhaseTimer() {
     detail::applyPhaseTestDelay();
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    PhaseTimes::global().add(
-        phase_, std::chrono::duration<double>(elapsed).count());
+    gauge_.add(std::chrono::duration<double>(elapsed).count());
   }
 
   PhaseTimer(const PhaseTimer&) = delete;
@@ -99,7 +44,7 @@ class PhaseTimer {
 
  private:
   obs::Span span_;  // first: opens before timing starts, closes after
-  std::string phase_;
+  obs::Gauge gauge_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -1,8 +1,7 @@
 // Exact little-endian binary encoding: integers verbatim, doubles as
 // their IEEE-754 bit pattern, strings length-prefixed. The sca-matrix-v1
-// header and the chain checkpoints are written with it, so a decoded
-// double is bit for bit the one that was encoded — decimal formatting
-// would not round-trip.
+// header is written with it, so a decoded double is bit for bit the one
+// that was encoded — decimal formatting would not round-trip.
 //
 // The reader is the decoder's safety net: every read is bounds checked,
 // and the first overrun latches ok() to false while subsequent reads

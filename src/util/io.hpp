@@ -10,8 +10,8 @@
 //     torn target.
 //
 //   * appendLine: a whole line lands in the file with ONE O_APPEND write,
-//     so two processes appending to the same log (bench_times.json from
-//     concurrently running benches) interleave line-by-line, never
+//     so two processes appending to the same log (the run-history store
+//     from concurrently running benches) interleave line-by-line, never
 //     byte-by-byte. POSIX guarantees atomicity of O_APPEND writes well
 //     beyond any record we emit.
 #pragma once

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/attribution_model.hpp"
 #include "core/binary.hpp"
@@ -113,9 +115,63 @@ TEST(AttributionModel, TopFeaturesAreNamedAndNormalized) {
   }
 }
 
+/// `text` with whitespace-separated field `field` of the line that starts
+/// at offset `at` replaced by `value`.
+std::string withField(std::string text, std::size_t at, std::size_t field,
+                      const std::string& value) {
+  const std::size_t end = text.find('\n', at);
+  std::istringstream in(text.substr(at, end - at));
+  std::vector<std::string> fields;
+  for (std::string f; in >> f;) fields.push_back(f);
+  fields.at(field) = value;
+  std::string line;
+  for (const std::string& f : fields) line += (line.empty() ? "" : " ") + f;
+  return text.replace(at, end - at, line);
+}
+
 TEST(AttributionModel, LoadRejectsCorruptStream) {
   std::stringstream bad("not-a-model v9");
   EXPECT_THROW(AttributionModel::load(bad), std::runtime_error);
+
+  // Structural corruption of a real model file must fail closed with a
+  // "model load:" error instead of crashing or hanging predict().
+  const corpus::YearDataset ds = corpus::buildYearDataset(2017, 2);
+  std::vector<std::string> sources;
+  std::vector<int> labels;
+  for (const corpus::CodeSample& s : ds.samples) {
+    sources.push_back(s.source);
+    labels.push_back(s.authorId);
+  }
+  ModelConfig config;
+  config.forest.treeCount = 3;
+  config.selectTopK = 0;  // identity selector: "selector 0"
+  AttributionModel model(config);
+  model.train(sources, labels);
+  std::stringstream saved;
+  model.save(saved);
+  const std::string text = saved.str();
+  const std::size_t root = text.find('\n', text.find("\ntree ") + 1) + 1;
+  const std::size_t leaf = text.find("\n-1 ", text.find("\nforest ")) + 1;
+  std::string selector = text;
+  selector.replace(text.find("selector 0\n"), 11, "selector 1 99999999\n");
+  std::string noClasses = text;
+  noClasses.replace(text.find("\nforest 2 "), 10, "\nforest 0 ");
+
+  for (const std::string& corrupt : {
+           withField(text, root, 2, "99999999"),  // child out of range
+           withField(text, root, 2, "0"),         // root is its own child
+           withField(text, root, 0, "99999999"),  // split past the width
+           withField(text, leaf, 4, "2"),         // label past classCount
+           selector, noClasses}) {
+    std::stringstream in(corrupt);
+    try {
+      (void)AttributionModel::load(in);
+      ADD_FAILURE() << "corrupt model loaded";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("model load: ", 0), 0u)
+          << error.what();
+    }
+  }
 }
 
 TEST(AttributionModel, SaveFileLoadFileRoundTrip) {

@@ -1,17 +1,24 @@
-// Golden digest of the one-shot mini pipeline — corpus -> Table II
-// transform -> 60-tree attribution model -> predict — the same pass that
-// bench/micro_pipeline runs under SCA_PIPELINE_ONCE=1. The expected line
-// is what that bench prints with no other SCA_* variable set. It moves
-// when corpus rendering, the synthetic LLM, feature extraction or the
-// forest changes any output byte, so a refactor that claims identical
-// behaviour must leave it alone.
+// Golden digests that a refactor claiming identical behaviour must leave
+// alone. They move when corpus rendering, the synthetic LLM, feature
+// extraction or the forest changes any output byte.
+//
+//   * The one-shot mini pipeline — corpus -> Table II transform -> 60-tree
+//     attribution model -> predict — the same pass that bench/micro_pipeline
+//     runs under SCA_PIPELINE_ONCE=1. The expected line is what that bench
+//     prints with no other SCA_* variable set.
+//   * Tables IV, VIII, IX and X at the scaled bench config SCA_AUTHORS=16
+//     SCA_STEPS=4 SCA_TREES=20, one digest per table over every value the
+//     table prints.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/attribution_model.hpp"
+#include "core/binary.hpp"
+#include "core/experiments.hpp"
 #include "corpus/dataset.hpp"
 #include "llm/pipelines.hpp"
 #include "util/rng.hpp"
@@ -59,6 +66,82 @@ TEST(Golden, OneShotPipelineMatchesPinnedDigest) {
                 " transformed=" + std::to_string(transformed.samples.size()) +
                 " accuracy=" + util::formatDouble(accuracy, 6),
             kPipelineLine);
+}
+
+std::uint64_t mix(std::uint64_t digest, double value) {
+  return util::combine64(digest, std::bit_cast<std::uint64_t>(value));
+}
+
+std::uint64_t mix(std::uint64_t digest, std::size_t value) {
+  return util::combine64(digest, static_cast<std::uint64_t>(value));
+}
+
+/// Tables VIII and IX: fold accuracies and marks, the average row, the
+/// ChatGPT set size and the target label.
+std::uint64_t attributionDigest(
+    std::uint64_t digest, const core::YearExperiment::AttributionResult& r) {
+  for (const core::YearExperiment::AttributionFold& fold : r.folds) {
+    digest = mix(digest, fold.accuracy205);
+    digest = mix(digest, std::size_t{fold.chatgptCorrect});
+    digest = mix(digest, std::size_t{fold.targetCorrect});
+  }
+  digest = mix(digest, r.meanAccuracy);
+  digest = mix(digest, r.chatgptCorrectPercent);
+  digest = mix(digest, r.targetCorrectPercent);
+  digest = mix(digest, r.setSize);
+  return util::combine64(digest, static_cast<std::uint64_t>(r.targetLabel));
+}
+
+// The calls the table04/08/09/10 benches make, with one YearExperiment per
+// year shared across tables (every stage it caches is a pure function of
+// the year and the config). The config is built here, not read from the
+// environment, so a caller's SCA_* variables cannot move the digests.
+TEST(Golden, TablesIvViiiIxXMatchPinnedDigests) {
+  core::ExperimentConfig config;
+  config.authorCount = 16;
+  config.steps = 4;
+  config.model.forest.treeCount = 20;
+
+  std::vector<core::YearExperiment> years;
+  years.reserve(3);
+  for (const int year : {2017, 2018, 2019}) years.emplace_back(year, config);
+
+  std::uint64_t table04 = util::hash64("table04");
+  std::uint64_t table08 = util::hash64("table08");
+  std::uint64_t table09 = util::hash64("table09");
+  std::uint64_t table10 = util::hash64("table10");
+  for (core::YearExperiment& year : years) {
+    const core::YearExperiment::StyleCounts styles = year.styleCounts();
+    for (const auto& counts : styles.perChallenge) {
+      for (const std::size_t count : counts) table04 = mix(table04, count);
+    }
+    for (const double average : styles.averages) {
+      table04 = mix(table04, average);
+    }
+    table04 = mix(table04, styles.maxCount);
+
+    table08 = attributionDigest(table08,
+                                year.attribution(core::Approach::Naive));
+    table09 = attributionDigest(
+        table09, year.attribution(core::Approach::FeatureBased));
+
+    const core::BinaryIndividualResult binary = core::binaryIndividual(year);
+    for (const double accuracy : binary.foldAccuracies) {
+      table10 = mix(table10, accuracy);
+    }
+    table10 = mix(table10, binary.meanAccuracy);
+  }
+  const core::BinaryCombinedResult combined =
+      core::binaryCombined({&years[0], &years[1], &years[2]});
+  for (const auto& row : combined.perChallenge) {
+    for (const double accuracy : row) table10 = mix(table10, accuracy);
+  }
+  for (const double mean : combined.means) table10 = mix(table10, mean);
+
+  EXPECT_EQ(util::toHex64(table04), "9f45e6afcb7784eb");
+  EXPECT_EQ(util::toHex64(table08), "94cfa445ee6b8677");
+  EXPECT_EQ(util::toHex64(table09), "523f09957fb14402");
+  EXPECT_EQ(util::toHex64(table10), "531d3f654962a93b");
 }
 
 }  // namespace

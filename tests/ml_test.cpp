@@ -229,7 +229,7 @@ TEST(DecisionTree, SaveLoadRoundTrip) {
   tree.fit(data, all, 3, TreeConfig{}, util::Rng(5));
   std::stringstream buffer;
   tree.save(buffer);
-  const DecisionTree restored = DecisionTree::load(buffer);
+  const DecisionTree restored = DecisionTree::load(buffer, 3, data.dimension());
   EXPECT_EQ(restored.nodeCount(), tree.nodeCount());
   for (const auto& row : data.x) {
     EXPECT_EQ(restored.predict(row), tree.predict(row));
@@ -238,9 +238,41 @@ TEST(DecisionTree, SaveLoadRoundTrip) {
 
 TEST(DecisionTree, LoadRejectsGarbage) {
   std::stringstream bad("nonsense 3");
-  EXPECT_THROW(DecisionTree::load(bad), std::runtime_error);
+  EXPECT_THROW(DecisionTree::load(bad, 2, 2), std::runtime_error);
   std::stringstream truncated("tree 2\n1 0.5 1 2 -1 0\n");
-  EXPECT_THROW(DecisionTree::load(truncated), std::runtime_error);
+  EXPECT_THROW(DecisionTree::load(truncated, 2, 2), std::runtime_error);
+
+  // Structure: a split on feature 0 with two leaves loads and predicts...
+  const std::string leaves = "-1 0 -1 -1 0 1\n-1 0 -1 -1 1 1\n";
+  std::stringstream valid("tree 3\n0 0.5 1 2 -1 0\n" + leaves);
+  const DecisionTree tree = DecisionTree::load(valid, 2, 1);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.2}), 0);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.9}), 1);
+  // ...while children that leave the tree or point back at their parent
+  // (a cycle predict() would never leave), a feature index below -1, a
+  // negative leaf label, and a label or split feature past the caller's
+  // limits are all rejected.
+  const auto rejects = [](const std::string& text, int classCount = 2,
+                          std::size_t featureCount = 1) {
+    std::stringstream in(text);
+    EXPECT_THROW(DecisionTree::load(in, classCount, featureCount),
+                 std::runtime_error)
+        << text;
+  };
+  rejects("tree 3\n0 0.5 99999999 2 -1 0\n" + leaves);
+  rejects("tree 3\n0 0.5 0 2 -1 0\n" + leaves);
+  rejects("tree 3\n0 0.5 1 -1 -1 0\n" + leaves);
+  rejects("tree 1\n-2 0 -1 -1 0 0\n");
+  rejects("tree 1\n-1 0 -1 -1 -3 0\n");
+  rejects("tree 3\n0 0.5 1 2 -1 0\n" + leaves, 1);
+  rejects("tree 3\n0 0.5 1 2 -1 0\n" + leaves, 2, 0);
+
+  // The forest requires a positive class count and checks its trees'
+  // leaf labels against it.
+  std::stringstream noClasses("forest 0 1\ntree 1\n-1 0 -1 -1 0 0\n");
+  EXPECT_THROW(RandomForest::load(noClasses), std::runtime_error);
+  std::stringstream labelPastClasses("forest 2 1\ntree 1\n-1 0 -1 -1 2 0\n");
+  EXPECT_THROW(RandomForest::load(labelPastClasses), std::runtime_error);
 }
 
 TEST(RandomForest, SaveLoadKeepsPredictions) {

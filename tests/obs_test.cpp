@@ -16,7 +16,6 @@
 #include "obs/trace_analysis.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/timer.hpp"
 #include "util/io.hpp"
 #include "util/strings.hpp"
 
@@ -44,15 +43,23 @@ TEST_F(ObsTest, StableSnapshotIsByteIdenticalAcrossThreadCounts) {
   std::vector<std::string> renders;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     runtime::setGlobalThreadCount(threads);
-    registry.markReset();
-    const Counter items = registry.counter("obs_test_items");
+    // The registry keeps lifetime totals, so each pass records under its
+    // own names and renders only its own entries.
+    const std::string suffix = "_t" + std::to_string(threads);
+    const Counter items = registry.counter("obs_test_items" + suffix);
     const Histogram sizes =
-        registry.histogram("obs_test_sizes", {1.0, 4.0, 16.0});
+        registry.histogram("obs_test_sizes" + suffix, {1.0, 4.0, 16.0});
     runtime::parallelFor(0, 512, [&](std::size_t i) {
       items.add();
       sizes.observe(static_cast<double>(i % 20));
     });
-    renders.push_back(stableMetricsJson(registry.snapshot()));
+    const MetricsSnapshot merged = registry.snapshot();
+    MetricsSnapshot own;
+    own.counters["obs_test_items"] =
+        merged.counters.at("obs_test_items" + suffix);
+    own.histograms["obs_test_sizes"] =
+        merged.histograms.at("obs_test_sizes" + suffix);
+    renders.push_back(stableMetricsJson(own));
   }
   EXPECT_EQ(renders[0], renders[1]);
   // And the section is not trivially empty.
@@ -61,7 +68,6 @@ TEST_F(ObsTest, StableSnapshotIsByteIdenticalAcrossThreadCounts) {
 
 TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
   MetricsRegistry& registry = MetricsRegistry::global();
-  registry.markReset();
   const Histogram h = registry.histogram("obs_test_edges", {1.0, 2.0, 4.0});
   for (const double v : {0.5, 1.0, 1.5, 2.0, 4.0, 4.1}) h.observe(v);
   const MetricsSnapshot snapshot = registry.snapshot();
@@ -75,25 +81,8 @@ TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
   EXPECT_EQ(edges.total(), 6u);
 }
 
-TEST_F(ObsTest, CounterResetIsNonDestructive) {
-  MetricsRegistry& registry = MetricsRegistry::global();
-  const Counter c = registry.counter("obs_test_rebase");
-  registry.markResetCounter("obs_test_rebase");
-  const std::uint64_t lifetimeBefore =
-      registry.counterValue("obs_test_rebase", Scope::kLifetime);
-  c.add(5);
-  registry.markResetCounter("obs_test_rebase");
-  c.add(2);
-  EXPECT_EQ(registry.counterValue("obs_test_rebase"), 2u);
-  EXPECT_EQ(registry.counterValue("obs_test_rebase", Scope::kLifetime),
-            lifetimeBefore + 7u);
-  // Unregistered names read as zero rather than erroring.
-  EXPECT_EQ(registry.counterValue("obs_test_never_registered"), 0u);
-}
-
 TEST_F(ObsTest, GaugeSumAccumulatesAndMaxKeepsHighWater) {
   MetricsRegistry& registry = MetricsRegistry::global();
-  registry.markReset();
   const Gauge sum = registry.gauge("obs_test_sum", GaugeKind::kSum);
   const Gauge max = registry.gauge("obs_test_max", GaugeKind::kMax);
   sum.add(1.5);
@@ -117,28 +106,8 @@ TEST_F(ObsTest, ReRegisteringUnderADifferentTypeThrows) {
                std::logic_error);
   // Same type re-registration is find-or-create, not an error.
   (void)registry.counter("obs_test_typed");
-}
-
-// Satellite: the runtime::PhaseTimes / runtime::Counters shims are thin
-// veneers over the registry — the same event is visible through both APIs,
-// with no second bookkeeping copy to drift.
-TEST_F(ObsTest, RuntimeShimsLandInTheRegistry) {
-  MetricsRegistry& registry = MetricsRegistry::global();
-  registry.markReset();
-  runtime::Counters::global().add("obs_test_shim_counter", 3);
-  EXPECT_EQ(registry.counterValue("obs_test_shim_counter"), 3u);
-  EXPECT_EQ(runtime::Counters::global().value("obs_test_shim_counter"), 3u);
-
-  runtime::PhaseTimes::global().add("obs_test_shim_phase", 1.25);
-  const MetricsSnapshot snapshot = registry.snapshot();
-  const std::string gaugeName =
-      std::string(kPhaseGaugePrefix) + "obs_test_shim_phase";
-  ASSERT_EQ(snapshot.gauges.count(gaugeName), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at(gaugeName), 1.25);
-  // And the shim's own snapshot strips the prefix back off.
-  EXPECT_DOUBLE_EQ(
-      runtime::PhaseTimes::global().snapshot().at("obs_test_shim_phase"),
-      1.25);
+  // Unregistered names read as zero rather than erroring.
+  EXPECT_EQ(registry.counterValue("obs_test_never_registered"), 0u);
 }
 
 TEST_F(ObsTest, SpanParentLinkageFollowsLexicalNesting) {
@@ -215,14 +184,12 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormedAndRoundTrips) {
 }
 
 TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
-  MetricsRegistry::global().markReset();
   (void)MetricsRegistry::global().counter("obs_test_manifest").add(1);
 
   RunManifestOptions options;
   options.path = ::testing::TempDir() + "obs_test_manifest.json";
   options.benchName = "obs_test_bench";
   options.threads = 3;
-  options.scope = Scope::kSinceReset;
 
   options.complete = false;
   ASSERT_TRUE(writeRunManifest(options).isOk());

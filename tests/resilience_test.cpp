@@ -18,6 +18,7 @@
 #include "llm/pipelines.hpp"
 #include "llm/resilient_client.hpp"
 #include "llm/synthetic_llm.hpp"
+#include "obs/metrics.hpp"
 #include "util/io.hpp"
 #include "util/status.hpp"
 
@@ -643,6 +644,10 @@ TEST(Checkpoint, RoundTripsExactBytes) {
   const auto loaded = loadChainCheckpoint(dir, testKey());
   ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
   EXPECT_EQ(loaded.value(), outputs);
+  // A key with no file in the directory misses cleanly.
+  ChainKey missing = testKey();
+  missing.challenge = 9;
+  EXPECT_FALSE(loadChainCheckpoint(dir, missing).ok());
 }
 
 TEST(Checkpoint, StaleHeadersAreRejected) {
@@ -678,6 +683,22 @@ TEST(Checkpoint, TornFilesAreRejected) {
   torn.close();
 
   EXPECT_FALSE(loadChainCheckpoint(dir, testKey()).ok());
+}
+
+TEST(Checkpoint, FailedWritesAreCountedNotFatal) {
+  const corpus::YearDataset corpus = corpus::buildYearDataset(2018, 10);
+  BuildOptions options;
+  options.steps = 1;
+  // A regular file where the directory should be: every write fails.
+  options.checkpointDir = tempDir("ckpt_unwritable") + "/not_a_dir";
+  std::ofstream(options.checkpointDir) << "x";
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::uint64_t before = registry.counterValue("ckpt_write_failures");
+
+  const TransformedDataset dataset = buildTransformedDataset(corpus, options);
+  const std::size_t chains = corpus.challenges.size() * allSettings().size();
+  EXPECT_EQ(dataset.samples.size(), chains * options.steps);
+  EXPECT_EQ(registry.counterValue("ckpt_write_failures") - before, chains);
 }
 
 TEST(Checkpoint, KillAndResumeIsBitIdentical) {
@@ -724,102 +745,6 @@ TEST(Checkpoint, KillAndResumeIsBitIdentical) {
   for (std::size_t i = 0; i < firstRun.samples.size(); ++i) {
     ASSERT_EQ(firstRun.samples[i].source, uninterrupted.samples[i].source);
   }
-}
-
-// ----------------------------------------------------------- chain pack
-
-ChainKey packKey(int challenge) {
-  ChainKey key = testKey();
-  key.challenge = challenge;
-  return key;
-}
-
-TEST(ChainPack, CompactionPacksLooseFilesAndLoadsFallBack) {
-  const std::string dir = tempDir("pack_roundtrip");
-  const std::vector<std::string> outputs = {"first\n", "second \"q\"", ""};
-  for (int challenge = 0; challenge < 3; ++challenge) {
-    ASSERT_TRUE(
-        writeChainCheckpoint(dir, packKey(challenge), outputs).isOk());
-  }
-
-  const auto compacted = compactCheckpoints(dir);
-  ASSERT_TRUE(compacted.ok()) << compacted.status().toString();
-  EXPECT_EQ(compacted.value().packedChains, 3u);
-  EXPECT_EQ(compacted.value().removedFiles, 3u);
-
-  // No loose chain files survive; the pack indexes all three.
-  for (int challenge = 0; challenge < 3; ++challenge) {
-    EXPECT_FALSE(std::filesystem::exists(
-        chainCheckpointPath(dir, packKey(challenge))));
-  }
-  const auto index = readChainPackIndex(chainPackPath(dir));
-  ASSERT_TRUE(index.ok());
-  ASSERT_EQ(index.value().size(), 3u);
-
-  // Loads are served from the pack and pass the same validation.
-  for (int challenge = 0; challenge < 3; ++challenge) {
-    const auto loaded = loadChainCheckpoint(dir, packKey(challenge));
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(loaded.value(), outputs);
-  }
-  // A key the pack does not hold still misses cleanly.
-  EXPECT_FALSE(loadChainCheckpoint(dir, packKey(9)).ok());
-  // Stale keys are rejected even when the bytes come from the pack.
-  ChainKey wrongOrigin = packKey(0);
-  wrongOrigin.originHash = util::hash64("not the original");
-  EXPECT_FALSE(loadChainCheckpoint(dir, wrongOrigin).ok());
-}
-
-TEST(ChainPack, LooseFileWinsAndRecompactionMerges) {
-  const std::string dir = tempDir("pack_merge");
-  const std::vector<std::string> stale = {"old a", "old b", "old c"};
-  const std::vector<std::string> fresh = {"new a", "new b", "new c"};
-
-  ASSERT_TRUE(writeChainCheckpoint(dir, packKey(0), stale).isOk());
-  ASSERT_TRUE(writeChainCheckpoint(dir, packKey(1), stale).isOk());
-  ASSERT_TRUE(compactCheckpoints(dir).ok());
-
-  // A newer loose file for chain 0 shadows its packed copy...
-  ASSERT_TRUE(writeChainCheckpoint(dir, packKey(0), fresh).isOk());
-  auto loaded = loadChainCheckpoint(dir, packKey(0));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), fresh);
-
-  // ...and wins the merge when compaction runs again.
-  const auto recompacted = compactCheckpoints(dir);
-  ASSERT_TRUE(recompacted.ok());
-  EXPECT_EQ(recompacted.value().packedChains, 2u);
-  EXPECT_EQ(recompacted.value().removedFiles, 1u);
-  loaded = loadChainCheckpoint(dir, packKey(0));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), fresh);
-  loaded = loadChainCheckpoint(dir, packKey(1));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), stale);
-}
-
-TEST(ChainPack, EmptyDirectoryAndCorruptPackAreHandled) {
-  const std::string dir = tempDir("pack_edge");
-  const auto noop = compactCheckpoints(dir);
-  ASSERT_TRUE(noop.ok());
-  EXPECT_EQ(noop.value().packedChains, 0u);
-  EXPECT_FALSE(std::filesystem::exists(chainPackPath(dir)));
-
-  ASSERT_TRUE(
-      writeChainCheckpoint(dir, packKey(0), {"x", "y", "z"}).isOk());
-  ASSERT_TRUE(compactCheckpoints(dir).ok());
-
-  // Truncate the pack mid-payload: the index read fails loudly and a load
-  // degrades to a clean miss instead of crashing or returning torn bytes.
-  const auto packed = util::readFile(chainPackPath(dir));
-  ASSERT_TRUE(packed.ok());
-  {
-    std::ofstream torn(chainPackPath(dir),
-                       std::ios::binary | std::ios::trunc);
-    torn << packed.value().substr(0, packed.value().size() / 2);
-  }
-  EXPECT_FALSE(readChainPackIndex(chainPackPath(dir)).ok());
-  EXPECT_FALSE(loadChainCheckpoint(dir, packKey(0)).ok());
 }
 
 // -------------------------------------------------- end-to-end invariants

@@ -3,8 +3,10 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
@@ -122,27 +124,13 @@ TEST_F(RuntimeTest, ConfiguredThreadCountIsPositive) {
   EXPECT_GE(configuredThreadCount(), 1u);
 }
 
-TEST_F(RuntimeTest, PhaseTimesAccumulateAndReset) {
-  PhaseTimes& times = PhaseTimes::global();
-  times.reset();
-  times.add("phase_a", 1.5);
-  times.add("phase_a", 0.5);
-  times.add("phase_b", 2.0);
-  const auto snapshot = times.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_DOUBLE_EQ(snapshot.at("phase_a"), 2.0);
-  EXPECT_DOUBLE_EQ(snapshot.at("phase_b"), 2.0);
-  times.reset();
-  EXPECT_TRUE(times.snapshot().empty());
-}
-
 TEST_F(RuntimeTest, PhaseTimerRecordsScope) {
-  PhaseTimes::global().reset();
   { PhaseTimer timer("scoped"); }
-  const auto snapshot = PhaseTimes::global().snapshot();
-  ASSERT_EQ(snapshot.count("scoped"), 1u);
-  EXPECT_GE(snapshot.at("scoped"), 0.0);
-  PhaseTimes::global().reset();
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+  const std::string gauge = std::string(obs::kPhaseGaugePrefix) + "scoped";
+  ASSERT_EQ(snapshot.gauges.count(gauge), 1u);
+  EXPECT_GE(snapshot.gauges.at(gauge), 0.0);
 }
 
 }  // namespace

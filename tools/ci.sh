@@ -119,6 +119,23 @@ history_smoke() {
   }
   local i
   for i in 1 2 3; do run_pipeline; done
+  # The history record is the run's one performance record: each fresh
+  # record must carry the one-shot pass's phases, its counters, threads
+  # and total_s, and the run leaves exactly one manifest behind.
+  local phases key
+  phases=$(grep -o '"phases":{[^}]*}' "$hist")
+  for key in corpus_build llm_transform train predict analysis; do
+    [ "$(printf '%s\n' "$phases" | grep -c "\"$key\":")" -eq 3 ] ||
+      { echo "history smoke: a record lacks phase $key" >&2; exit 1; }
+  done
+  for key in '"counters":{' '"threads":' '"total_s":'; do
+    [ "$(grep -cF "$key" "$hist")" -eq 3 ] ||
+      { echo "history smoke: a record lacks $key" >&2; exit 1; }
+  done
+  [ "$(cd "$dir/bench_out" && ls -p | grep -v /)" = \
+    manifest.micro_pipeline.json ] ||
+    { echo "history smoke: bench_out holds other files than" \
+        "manifest.micro_pipeline.json" >&2; exit 1; }
   "$cli" history check "$hist" ||
     { echo "history check failed on identical re-runs" >&2; exit 1; }
   run_pipeline 400
@@ -448,46 +465,32 @@ scale_smoke() {
 }
 scale_smoke
 
-# Checkpoint-compaction smoke: chains written by a real pipeline run are
-# folded into the single-file pack, the inspector must list them as packed,
-# and a rerun served from the pack must reproduce the loose-file run's
-# pipeline digests byte for byte.
-compaction_smoke() {
-  echo "=== checkpoint-compaction smoke (build-release) ==="
-  local dir=build-release/compaction-smoke
+# Checkpoint-resume smoke: a second one-shot run against the chain
+# checkpoints the first run wrote must load them (nonzero
+# ckpt_chains_loaded in its manifest) and reproduce the first run's
+# pipeline digest byte for byte.
+checkpoint_resume_smoke() {
+  echo "=== checkpoint-resume smoke (build-release) ==="
+  local dir=build-release/checkpoint-resume-smoke
   rm -rf "$dir" && mkdir -p "$dir"
-  local cli=build-release/tools/sca_cli
   local ckpt="$PWD/$dir/ckpt"
 
   run_once() {
     (cd "$dir" &&
      SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR="$ckpt" \
+       SCA_CHECKPOINT_DIR="$ckpt" SCA_MANIFEST="manifest_$1.json" \
        ../bench/micro_pipeline) | grep '^\[pipeline\]'
   }
-  run_once > "$dir/pipeline_loose.txt"
-  ls "$ckpt"/chain_*.jsonl > /dev/null 2>&1 ||
-    { echo "compaction smoke: pipeline wrote no loose chains" >&2; exit 1; }
-
-  "$cli" checkpoints "$ckpt" --compact > "$dir/compact.txt" ||
-    { echo "compaction smoke: --compact failed" >&2; exit 1; }
-  if ls "$ckpt"/chain_*.jsonl > /dev/null 2>&1; then
-    echo "compaction smoke: loose chains survived compaction" >&2; exit 1
-  fi
-  "$cli" checkpoints "$ckpt" > "$dir/inspect.txt" ||
-    { echo "compaction smoke: inspector rejected the packed dir" >&2
+  run_once fresh > "$dir/pipeline_fresh.txt"
+  run_once resumed > "$dir/pipeline_resumed.txt"
+  cmp "$dir/pipeline_fresh.txt" "$dir/pipeline_resumed.txt" ||
+    { echo "checkpoint-resume smoke: resumed run diverged" >&2; exit 1; }
+  grep -Eq '"ckpt_chains_loaded":[1-9]' "$dir/manifest_resumed.json" ||
+    { echo "checkpoint-resume smoke: resumed run loaded no chains" >&2
       exit 1; }
-  grep -q 'pack:' "$dir/inspect.txt" ||
-    { echo "compaction smoke: inspector lists no packed chains" >&2
-      exit 1; }
-
-  run_once > "$dir/pipeline_packed.txt"
-  cmp "$dir/pipeline_loose.txt" "$dir/pipeline_packed.txt" ||
-    { echo "compaction smoke: pack-resumed run diverged from loose run" >&2
-      exit 1; }
-  echo "=== checkpoint-compaction smoke ok ==="
+  echo "=== checkpoint-resume smoke ok ==="
 }
-compaction_smoke
+checkpoint_resume_smoke
 
 # Flight-recorder smoke: the recorder's hard invariant is that it OBSERVES
 # without participating — stable output bytes are identical with the rings

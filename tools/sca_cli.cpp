@@ -11,8 +11,7 @@
 //   sca_cli diff <manifestA> <manifestB>            compare two manifests
 //   sca_cli trace <trace.json> [--summary]          summarize a Chrome trace
 //   sca_cli history list|check|gc [path]            cross-run perf history
-//   sca_cli checkpoints [dir] [--purge-stale|--compact]
-//                                                   inspect/compact checkpoints
+//   sca_cli checkpoints [dir] [--purge-stale]      inspect checkpoints
 //   sca_cli serve                                   JSONL serving loop on
 //                                                   stdin/stdout
 //   sca_cli serve-report <log> [--slowest N]        per-request lifecycle
@@ -50,7 +49,6 @@
 #include "serve/server.hpp"
 #include "style/archetypes.hpp"
 #include "style/infer.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -89,12 +87,10 @@ void printUsage(std::ostream& out) {
       "                              cross-run perf history; default path\n"
       "                              $SCA_HISTORY or\n"
       "                              bench_out/history/history.jsonl\n"
-      "  checkpoints [dir] [--purge-stale] [--compact]\n"
+      "  checkpoints [dir] [--purge-stale]\n"
       "                              inspect chain checkpoints; with\n"
       "                              --purge-stale, delete files whose\n"
-      "                              header contradicts their filename;\n"
-      "                              with --compact, fold loose files into\n"
-      "                              the single chains.pack manifest\n"
+      "                              header contradicts their filename\n"
       "                              (default $SCA_CHECKPOINT_DIR)\n"
       "  serve                       JSONL serving loop on stdin/stdout\n"
       "                              over a sharded LLM fleet (SCA_SHARDS,\n"
@@ -570,12 +566,9 @@ int cmdHistory(const std::vector<std::string>& args) {
 int cmdCheckpoints(const std::vector<std::string>& args) {
   std::string dir;
   bool purgeStale = false;
-  bool compact = false;
   for (const std::string& arg : args) {
     if (arg == "--purge-stale") {
       purgeStale = true;
-    } else if (arg == "--compact") {
-      compact = true;
     } else if (dir.empty() && arg.rfind("--", 0) != 0) {
       dir = arg;
     } else {
@@ -596,18 +589,6 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
     return 1;
   }
 
-  if (compact) {
-    const util::Result<llm::CompactionResult> compacted =
-        llm::compactCheckpoints(dir);
-    if (!compacted.ok()) {
-      std::cerr << "error: " << compacted.status().toString() << '\n';
-      return 1;
-    }
-    std::cout << "packed " << compacted.value().packedChains
-              << " chain(s) into " << llm::chainPackPath(dir) << ", removed "
-              << compacted.value().removedFiles << " loose file(s)\n";
-  }
-
   std::vector<std::string> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -618,25 +599,8 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
   }
   std::sort(paths.begin(), paths.end());
 
-  // Compacted chains live inside the pack; report them alongside the loose
-  // files (the pack index is name-sorted already).
-  std::size_t packedChains = 0;
-  const std::string packPath = llm::chainPackPath(dir);
-  if (const auto index = llm::readChainPackIndex(packPath); index.ok()) {
-    packedChains = index.value().size();
-    for (const llm::ChainPackEntry& entry : index.value()) {
-      std::cout << "pack:" << entry.name << " (" << entry.length
-                << " bytes)\n";
-    }
-  }
-
   if (paths.empty()) {
-    if (packedChains > 0) {
-      std::cout << packedChains << " chain(s) in " << packPath
-                << ", no loose checkpoints\n";
-    } else {
-      std::cout << "no chain checkpoints in " << dir << '\n';
-    }
+    std::cout << "no chain checkpoints in " << dir << '\n';
     return 0;
   }
 
@@ -670,7 +634,6 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
     }
   }
   std::cout << complete << "/" << paths.size() << " loose chains complete";
-  if (packedChains > 0) std::cout << ", " << packedChains << " packed";
   if (stale > 0) {
     std::cout << ", " << stale << " stale";
     if (purgeStale) std::cout << " (" << purged << " purged)";
@@ -813,7 +776,6 @@ int dispatch(const std::string& command,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::setLogLevel(util::LogLevel::Warn);
   if (argc < 2) {
     // Bare invocation is a request for orientation, not a mistake.
     printUsage(std::cout);
