@@ -1,44 +1,302 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace sca::ml {
 namespace {
 
-/// Gini impurity from class counts.
-double gini(const std::vector<std::size_t>& counts, std::size_t total) {
-  if (total == 0) return 0.0;
-  double sumSquares = 0.0;
-  for (const std::size_t c : counts) {
-    const double p = static_cast<double>(c) / static_cast<double>(total);
-    sumSquares += p * p;
-  }
-  return 1.0 - sumSquares;
+/// One Gini term: the squared proportion of `count` in `total`.
+double square(std::size_t count, std::size_t total) {
+  const double p = static_cast<double>(count) / static_cast<double>(total);
+  return p * p;
 }
 
-int majorityLabel(const std::vector<std::size_t>& counts) {
-  int best = 0;
-  std::size_t bestCount = 0;
-  for (std::size_t label = 0; label < counts.size(); ++label) {
-    if (counts[label] > bestCount) {
-      bestCount = counts[label];
-      best = static_cast<int>(label);
-    }
-  }
-  return best;
+/// Candidates are scored in groups of kGroup, each sum in its own
+/// register. Randomized mode pads its T thresholds to whole groups with
+/// NaN, which no value is <=, and scores only the first T.
+constexpr std::size_t kGroup = 8;
+
+std::size_t wholeGroups(std::size_t thresholds) {
+  return (thresholds + kGroup - 1) / kGroup * kGroup;
 }
 
 struct SplitCandidate {
   int feature = -1;
+  std::size_t slot = 0;  // the feature's position in the draw
   double threshold = 0.0;
   double impurity = std::numeric_limits<double>::infinity();
-  std::size_t leftCount = 0;
+};
+
+/// The split search of one tree. A node is a [begin, end) range of one
+/// index buffer holding the bootstrap; splitting a node partitions its
+/// range stably, left side first, so every node keeps its samples in
+/// bootstrap (ascending) order. All scratch is sized once per tree.
+///
+/// Every Gini sum runs over the node's present classes only, in ascending
+/// class order: an absent class would add exactly +0.0 to a sum of
+/// squares, so each sum equals the sum over all classes bit for bit.
+class NodeKernel {
+ public:
+  NodeKernel(const Dataset& data, const std::vector<std::size_t>& samples,
+             std::size_t classCount, std::size_t mtry,
+             const TreeConfig& config)
+      : data_(data),
+        config_(config),
+        samples_(samples),
+        labels_(samples.size()),
+        counts_(classCount, 0),
+        left_(std::max<std::size_t>(
+                  1, wholeGroups(config.thresholdsPerFeature)) *
+              classCount),
+        leftTotals_(wholeGroups(config.thresholdsPerFeature)),
+        thresholds_(wholeGroups(config.thresholdsPerFeature),
+                    std::numeric_limits<double>::quiet_NaN()),
+        block_(mtry * samples.size()),
+        lo_(mtry),
+        hi_(mtry),
+        spill_(samples.size()) {
+    present_.reserve(classCount);
+    if (config.thresholdsPerFeature == 0) sorted_.resize(samples.size());
+  }
+
+  /// Makes [begin, end) the current node: gathers its labels, counts its
+  /// classes and lists the present ones in ascending order. Returns the
+  /// node's Gini impurity.
+  double load(std::size_t begin, std::size_t end) {
+    for (const int c : present_) counts_[static_cast<std::size_t>(c)] = 0;
+    present_.clear();
+    begin_ = begin;
+    size_ = end - begin;
+    for (std::size_t j = 0; j < size_; ++j) {
+      const int y = data_.y[samples_[begin + j]];
+      labels_[j] = y;
+      std::size_t& count = counts_[static_cast<std::size_t>(y)];
+      if (count++ == 0) present_.push_back(y);
+    }
+    std::sort(present_.begin(), present_.end());
+    double sumSquares = 0.0;
+    for (const int c : present_) {
+      sumSquares += square(counts_[static_cast<std::size_t>(c)], size_);
+    }
+    return 1.0 - sumSquares;
+  }
+
+  /// The first most frequent class of the current node.
+  [[nodiscard]] int majority() const {
+    int best = 0;
+    std::size_t bestCount = 0;
+    for (const int c : present_) {
+      if (counts_[static_cast<std::size_t>(c)] > bestCount) {
+        bestCount = counts_[static_cast<std::size_t>(c)];
+        best = c;
+      }
+    }
+    return best;
+  }
+
+  /// Best split of the current node over `features`, examined in draw
+  /// order with the first strictly lowest weighted impurity winning. A
+  /// feature constant in the node is skipped before any threshold is
+  /// drawn. Randomized mode draws all of a feature's thresholds before
+  /// counting them, which consumes `rng` exactly as one draw per
+  /// evaluation would.
+  SplitCandidate findSplit(const std::vector<std::size_t>& features,
+                           util::Rng& rng) {
+    gather(features);
+    SplitCandidate best;
+    for (std::size_t a = 0; a < features.size(); ++a) {
+      if (!(hi_[a] > lo_[a])) continue;  // constant feature in this node
+      const double* column = &block_[a * size_];
+      const int f = static_cast<int>(features[a]);
+      if (config_.thresholdsPerFeature == 0) {
+        sweepMidpoints(column, f, a, best);
+      } else {
+        countThresholds(column, lo_[a], hi_[a], rng, f, a, best);
+      }
+    }
+    return best;
+  }
+
+  /// Stably partitions the current node by `split`, left side first;
+  /// returns the left side's size.
+  std::size_t partition(const SplitCandidate& split) {
+    const double* column = &block_[split.slot * size_];
+    std::size_t* node = &samples_[begin_];
+    std::size_t left = 0;
+    std::size_t right = 0;
+    for (std::size_t j = 0; j < size_; ++j) {
+      if (column[j] <= split.threshold) {
+        node[left++] = node[j];
+      } else {
+        spill_[right++] = node[j];
+      }
+    }
+    std::copy_n(spill_.begin(), right, node + left);
+    return left;
+  }
+
+ private:
+  /// Copies the current node's values of the (at most mtry) drawn
+  /// features into block_, one column each, reading each sample's row
+  /// once, and takes each column's min and max in sample order.
+  void gather(const std::vector<std::size_t>& features) {
+    const std::size_t width = features.size();
+    std::fill_n(lo_.begin(), width, std::numeric_limits<double>::infinity());
+    std::fill_n(hi_.begin(), width, -std::numeric_limits<double>::infinity());
+    for (std::size_t j = 0; j < size_; ++j) {
+      const std::span<const double> row = data_.row(samples_[begin_ + j]);
+      for (std::size_t a = 0; a < width; ++a) {
+        const double value = row[features[a]];
+        block_[a * size_ + j] = value;
+        lo_[a] = std::min(lo_[a], value);
+        hi_[a] = std::max(hi_[a], value);
+      }
+    }
+  }
+
+  /// Randomized mode (Extra-Trees): T thresholds uniform in [lo, hi),
+  /// all T left histograms counted in one pass over the column, one class
+  /// run at a time. A node lists its samples in row order and the corpora
+  /// list each author's rows together, so a class is usually one run.
+  void countThresholds(const double* column, double lo, double hi,
+                       util::Rng& rng, int feature, std::size_t slot,
+                       SplitCandidate& best) {
+    const std::size_t stride = thresholds_.size();
+    const std::size_t t = config_.thresholdsPerFeature;
+    for (std::size_t k = 0; k < t; ++k) {
+      thresholds_[k] = rng.uniformReal(lo, hi);
+    }
+    for (const int c : present_) {
+      std::fill_n(&left_[static_cast<std::size_t>(c) * stride], stride, 0);
+    }
+    std::fill(leftTotals_.begin(), leftTotals_.end(), 0);
+    for (std::size_t j = 0; j < size_;) {
+      const int y = labels_[j];
+      std::size_t end = j + 1;
+      while (end < size_ && labels_[end] == y) ++end;
+      std::size_t* cell = &left_[static_cast<std::size_t>(y) * stride];
+      for (std::size_t g = 0; g < stride; g += kGroup) {
+        std::array<std::size_t, kGroup> run{};
+        for (std::size_t i = j; i < end; ++i) {
+          for (std::size_t k = 0; k < kGroup; ++k) {
+            run[k] += column[i] <= thresholds_[g + k] ? 1 : 0;
+          }
+        }
+        for (std::size_t k = 0; k < kGroup; ++k) {
+          cell[g + k] += run[k];
+          leftTotals_[g + k] += run[k];
+        }
+      }
+      j = end;
+    }
+    for (std::size_t g = 0; g < t; g += kGroup) {
+      score<kGroup>(&left_[g], stride, &leftTotals_[g], &thresholds_[g],
+                    std::min(kGroup, t - g), feature, slot, best);
+    }
+  }
+
+  /// Exact mode (CART): the midpoints of the column's sorted distinct
+  /// values in ascending order, each one's left side counted by a single
+  /// sweep over the sorted column.
+  void sweepMidpoints(const double* column, int feature, std::size_t slot,
+                      SplitCandidate& best) {
+    for (std::size_t j = 0; j < size_; ++j) {
+      sorted_[j] = {column[j], labels_[j]};
+    }
+    const auto end = sorted_.begin() + static_cast<std::ptrdiff_t>(size_);
+    std::sort(sorted_.begin(), end,
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const int c : present_) left_[static_cast<std::size_t>(c)] = 0;
+    std::size_t leftTotal = 0;
+    double previous = sorted_[0].first;  // first value of the last run
+    for (std::size_t q = 1; q < size_; ++q) {
+      if (sorted_[q].first == previous) continue;
+      const double threshold = 0.5 * (previous + sorted_[q].first);
+      previous = sorted_[q].first;
+      for (; leftTotal < size_ && sorted_[leftTotal].first <= threshold;
+           ++leftTotal) {
+        ++left_[static_cast<std::size_t>(sorted_[leftTotal].second)];
+      }
+      score<1>(left_.data(), 1, &leftTotal, &threshold, 1, feature, slot,
+               best);
+    }
+  }
+
+  /// Scores a group of kWidth candidates of one column and keeps, in
+  /// order, each of the first `count` that beats `best` strictly.
+  /// Candidate k's left side holds leftTotals[k] samples, class c counted
+  /// at left[c * stride + k]. The 2 * kWidth sums of squares run as
+  /// independent chains, each adding its terms in ascending class order.
+  template <std::size_t kWidth>
+  void score(const std::size_t* left, std::size_t stride,
+             const std::size_t* leftTotals, const double* thresholds,
+             std::size_t count, int feature, std::size_t slot,
+             SplitCandidate& best) {
+    // A side with no samples has Gini 0 and its sum goes unused; dividing
+    // by 1 there keeps every term finite.
+    std::array<std::size_t, kWidth> leftSide{};
+    std::array<std::size_t, kWidth> rightSide{};
+    for (std::size_t k = 0; k < kWidth; ++k) {
+      leftSide[k] = std::max<std::size_t>(leftTotals[k], 1);
+      rightSide[k] = std::max<std::size_t>(size_ - leftTotals[k], 1);
+    }
+    std::array<double, kWidth> leftSums{};
+    std::array<double, kWidth> rightSums{};
+    for (const int c : present_) {
+      const std::size_t* cell = &left[static_cast<std::size_t>(c) * stride];
+      const std::size_t all = counts_[static_cast<std::size_t>(c)];
+      for (std::size_t k = 0; k < kWidth; ++k) {
+        leftSums[k] += square(cell[k], leftSide[k]);
+        rightSums[k] += square(all - cell[k], rightSide[k]);
+      }
+    }
+    const double total = static_cast<double>(size_);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t leftTotal = leftTotals[k];
+      const std::size_t rightTotal = size_ - leftTotal;
+      if (leftTotal < config_.minSamplesLeaf ||
+          rightTotal < config_.minSamplesLeaf) {
+        continue;
+      }
+      const double leftGini = leftTotal == 0 ? 0.0 : 1.0 - leftSums[k];
+      const double rightGini = rightTotal == 0 ? 0.0 : 1.0 - rightSums[k];
+      const double weighted =
+          (static_cast<double>(leftTotal) / total) * leftGini +
+          (static_cast<double>(rightTotal) / total) * rightGini;
+      if (weighted < best.impurity) {
+        best.impurity = weighted;
+        best.feature = feature;
+        best.slot = slot;
+        best.threshold = thresholds[k];
+      }
+    }
+  }
+
+  const Dataset& data_;
+  const TreeConfig& config_;
+  std::vector<std::size_t> samples_;  // the bootstrap, partitioned per node
+  std::size_t begin_ = 0;             // current node: samples_[begin_, +size_)
+  std::size_t size_ = 0;
+  std::vector<int> labels_;           // its labels, in sample order
+  std::vector<std::size_t> counts_;   // its class counts
+  std::vector<int> present_;          // its classes with a count, ascending
+  std::vector<std::size_t> left_;     // left counts, class-major
+  std::vector<std::size_t> leftTotals_;
+  std::vector<double> thresholds_;    // T, padded to whole groups
+  std::vector<double> block_;         // drawn features' columns, mtry x size_
+  std::vector<double> lo_;
+  std::vector<double> hi_;
+  std::vector<std::size_t> spill_;    // right side while partitioning
+  std::vector<std::pair<double, int>> sorted_;  // exact mode's column
 };
 
 }  // namespace
@@ -48,9 +306,17 @@ void DecisionTree::fit(const Dataset& data,
                        int classCount, const TreeConfig& config,
                        util::Rng rng) {
   nodes_.clear();
+  width_ = 0;
   if (sampleIndices.empty() || classCount <= 0) {
     nodes_.push_back(Node{-1, 0.0, -1, -1, 0, 0});
     return;
+  }
+  for (const std::size_t i : sampleIndices) {
+    if (data.y[i] < 0 || data.y[i] >= classCount) {
+      throw std::invalid_argument(
+          "decision tree: label " + std::to_string(data.y[i]) +
+          " outside [0, " + std::to_string(classCount) + ")");
+    }
   }
   const std::size_t dims = data.dimension();
   const std::size_t mtry =
@@ -60,122 +326,42 @@ void DecisionTree::fit(const Dataset& data,
                 1, static_cast<std::size_t>(std::sqrt(
                        static_cast<double>(dims))));
 
+  NodeKernel kernel(data, sampleIndices,
+                    static_cast<std::size_t>(classCount), mtry, config);
+  // Depth-first: children are appended after their parent and the right
+  // child is split first.
   struct WorkItem {
-    std::vector<std::size_t> samples;
+    std::size_t begin;
+    std::size_t end;
     int nodeIndex;
     int depth;
   };
   std::vector<WorkItem> stack;
   nodes_.push_back(Node{});
-  stack.push_back(WorkItem{sampleIndices, 0, 0});
+  stack.push_back(WorkItem{0, sampleIndices.size(), 0, 0});
 
   while (!stack.empty()) {
-    WorkItem item = std::move(stack.back());
+    const WorkItem item = stack.back();
     stack.pop_back();
     Node& node = nodes_[static_cast<std::size_t>(item.nodeIndex)];
     node.depth = item.depth;
 
-    std::vector<std::size_t> counts(static_cast<std::size_t>(classCount), 0);
-    for (const std::size_t i : item.samples) {
-      ++counts[static_cast<std::size_t>(data.y[i])];
-    }
-    const double nodeImpurity = gini(counts, item.samples.size());
-
+    const double nodeImpurity = kernel.load(item.begin, item.end);
     const bool stop =
-        nodeImpurity <= 0.0 ||
-        item.samples.size() < config.minSamplesSplit ||
+        nodeImpurity <= 0.0 || item.end - item.begin < config.minSamplesSplit ||
         static_cast<std::size_t>(item.depth) >= config.maxDepth;
     if (stop) {
-      node.label = majorityLabel(counts);
+      node.label = kernel.majority();
       continue;
     }
 
-    // Candidate features for this node.
-    std::vector<std::size_t> features = rng.sampleIndices(dims, mtry);
-    SplitCandidate best;
-
-    // Reused scratch buffers: allocating per candidate threshold dominated
-    // the profile on wide label spaces (205 classes).
-    std::vector<std::size_t> leftCounts(static_cast<std::size_t>(classCount));
-    std::vector<std::size_t> rightCounts(static_cast<std::size_t>(classCount));
-
-    for (const std::size_t f : features) {
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (const std::size_t i : item.samples) {
-        const double value = data.row(i)[f];
-        lo = std::min(lo, value);
-        hi = std::max(hi, value);
-      }
-      if (!(hi > lo)) continue;  // constant feature in this node
-
-      auto evaluate = [&](double threshold) {
-        std::fill(leftCounts.begin(), leftCounts.end(), 0);
-        std::size_t leftTotal = 0;
-        for (const std::size_t i : item.samples) {
-          if (data.row(i)[f] <= threshold) {
-            ++leftCounts[static_cast<std::size_t>(data.y[i])];
-            ++leftTotal;
-          }
-        }
-        const std::size_t rightTotal = item.samples.size() - leftTotal;
-        if (leftTotal < config.minSamplesLeaf ||
-            rightTotal < config.minSamplesLeaf) {
-          return;
-        }
-        for (std::size_t c = 0; c < rightCounts.size(); ++c) {
-          rightCounts[c] = counts[c] - leftCounts[c];
-        }
-        const double total = static_cast<double>(item.samples.size());
-        const double weighted =
-            (static_cast<double>(leftTotal) / total) *
-                gini(leftCounts, leftTotal) +
-            (static_cast<double>(rightTotal) / total) *
-                gini(rightCounts, rightTotal);
-        if (weighted < best.impurity) {
-          best.impurity = weighted;
-          best.feature = static_cast<int>(f);
-          best.threshold = threshold;
-          best.leftCount = leftTotal;
-        }
-      };
-
-      if (config.thresholdsPerFeature == 0) {
-        // Exact mode: sweep midpoints of sorted distinct values.
-        std::vector<double> values;
-        values.reserve(item.samples.size());
-        for (const std::size_t i : item.samples) {
-          values.push_back(data.row(i)[f]);
-        }
-        std::sort(values.begin(), values.end());
-        values.erase(std::unique(values.begin(), values.end()), values.end());
-        for (std::size_t v = 1; v < values.size(); ++v) {
-          evaluate(0.5 * (values[v - 1] + values[v]));
-        }
-      } else {
-        for (std::size_t t = 0; t < config.thresholdsPerFeature; ++t) {
-          evaluate(rng.uniformReal(lo, hi));
-        }
-      }
-    }
-
+    const SplitCandidate best =
+        kernel.findSplit(rng.sampleIndices(dims, mtry), rng);
     if (best.feature < 0 || best.impurity >= nodeImpurity - 1e-12) {
-      node.label = majorityLabel(counts);
+      node.label = kernel.majority();
       continue;
     }
-
-    std::vector<std::size_t> leftSamples;
-    std::vector<std::size_t> rightSamples;
-    leftSamples.reserve(best.leftCount);
-    rightSamples.reserve(item.samples.size() - best.leftCount);
-    for (const std::size_t i : item.samples) {
-      if (data.row(i)[static_cast<std::size_t>(best.feature)] <=
-          best.threshold) {
-        leftSamples.push_back(i);
-      } else {
-        rightSamples.push_back(i);
-      }
-    }
+    const std::size_t middle = item.begin + kernel.partition(best);
 
     node.featureIndex = best.feature;
     node.threshold = best.threshold;
@@ -183,29 +369,37 @@ void DecisionTree::fit(const Dataset& data,
     // NOTE: `node` may dangle after push_back; write through the index.
     nodes_[static_cast<std::size_t>(item.nodeIndex)].left = leftIndex;
     nodes_.push_back(Node{});
-    nodes_[static_cast<std::size_t>(item.nodeIndex)].right =
-        static_cast<int>(nodes_.size());
+    nodes_[static_cast<std::size_t>(item.nodeIndex)].right = leftIndex + 1;
     nodes_.push_back(Node{});
-    stack.push_back(WorkItem{std::move(leftSamples), leftIndex,
-                             item.depth + 1});
-    stack.push_back(WorkItem{std::move(rightSamples),
-                             nodes_[static_cast<std::size_t>(item.nodeIndex)].right,
-                             item.depth + 1});
+    stack.push_back(
+        WorkItem{item.begin, middle, leftIndex, item.depth + 1});
+    stack.push_back(
+        WorkItem{middle, item.end, leftIndex + 1, item.depth + 1});
   }
+  width_ = requiredWidth(nodes_);
+}
+
+std::size_t DecisionTree::requiredWidth(const std::vector<Node>& nodes) {
+  int widest = -1;
+  for (const Node& node : nodes) widest = std::max(widest, node.featureIndex);
+  return static_cast<std::size_t>(widest + 1);
 }
 
 int DecisionTree::predict(std::span<const double> features) const {
+  if (features.size() < width_) {
+    throw std::invalid_argument(
+        "decision tree: row has " + std::to_string(features.size()) +
+        " features, the tree splits on feature " + std::to_string(width_ - 1));
+  }
   if (nodes_.empty()) return 0;
   std::size_t current = 0;
   while (true) {
     const Node& node = nodes_[current];
     if (node.featureIndex < 0) return node.label;
-    const double value =
-        static_cast<std::size_t>(node.featureIndex) < features.size()
-            ? features[static_cast<std::size_t>(node.featureIndex)]
-            : 0.0;
-    current = static_cast<std::size_t>(value <= node.threshold ? node.left
-                                                               : node.right);
+    current = static_cast<std::size_t>(
+        features[static_cast<std::size_t>(node.featureIndex)] <= node.threshold
+            ? node.left
+            : node.right);
   }
 }
 
@@ -251,6 +445,7 @@ DecisionTree DecisionTree::load(std::istream& is, int classCount,
     }
     tree.nodes_.push_back(node);
   }
+  tree.width_ = requiredWidth(tree.nodes_);
   return tree;
 }
 

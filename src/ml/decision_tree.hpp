@@ -1,10 +1,12 @@
 // CART decision tree with Gini impurity.
 //
 // Two split modes: exact (sorted sweep over midpoints, as in classic CART)
-// and randomized thresholds (Extra-Trees style), which is ~5-10x faster on
-// our dense stylometric vectors and — with bagging on top — statistically
-// indistinguishable for these experiments. The forest defaults to the
-// randomized mode; the ablation bench compares both.
+// and randomized thresholds (Extra-Trees style), which with bagging on top
+// is statistically indistinguishable for these experiments and faster: in
+// bench/ablation_forest (204 authors, 4 threads, feature extraction
+// included) 120 randomized trees train in 0.33 s against 0.42 s for exact
+// CART, at 97.1% against 97.5% accuracy. The forest defaults to the
+// randomized mode.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +32,13 @@ struct TreeConfig {
 class DecisionTree {
  public:
   /// Fits on `data` restricted to `sampleIndices` (with repetitions — the
-  /// forest passes bootstrap samples). `classCount` fixes the label range.
+  /// forest passes bootstrap samples). `classCount` fixes the label range;
+  /// a sampled label outside [0, classCount) throws std::invalid_argument.
   void fit(const Dataset& data, const std::vector<std::size_t>& sampleIndices,
            int classCount, const TreeConfig& config, util::Rng rng);
 
+  /// Throws std::invalid_argument on a row narrower than the tree's
+  /// widest split feature.
   [[nodiscard]] int predict(std::span<const double> features) const;
   [[nodiscard]] int predict(const std::vector<double>& features) const {
     return predict(std::span<const double>(features));
@@ -69,7 +74,11 @@ class DecisionTree {
     int depth = 0;
   };
 
+  /// Largest split feature + 1: the narrowest row predict() accepts.
+  static std::size_t requiredWidth(const std::vector<Node>& nodes);
+
   std::vector<Node> nodes_;
+  std::size_t width_ = 0;
 };
 
 }  // namespace sca::ml

@@ -5,14 +5,22 @@
 //   * The one-shot mini pipeline — corpus -> Table II transform -> 60-tree
 //     attribution model -> predict — the same pass that bench/micro_pipeline
 //     runs under SCA_PIPELINE_ONCE=1. The expected line is what that bench
-//     prints with no other SCA_* variable set.
+//     prints with no other SCA_* variable set, and the pass must move the
+//     stable counters behind the committed perf baseline's digest
+//     (tools/perf/seed_baseline.jsonl) by exactly that baseline's values.
 //   * Tables IV, VIII, IX and X at the scaled bench config SCA_AUTHORS=16
 //     SCA_STEPS=4 SCA_TREES=20, one digest per table over every value the
 //     table prints.
+//   * The fitted forest itself: the saved text of forests fitted in each
+//     split mode from owned rows, an index view and a matrix-backed view.
+//     Two forests can score the same accuracy; only this pins the trees.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +29,9 @@
 #include "core/experiments.hpp"
 #include "corpus/dataset.hpp"
 #include "llm/pipelines.hpp"
+#include "ml/matrix.hpp"
+#include "ml/random_forest.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -30,7 +41,22 @@ namespace {
 constexpr char kPipelineLine[] =
     "[pipeline] digest=93728f28931055d4 transformed=96 accuracy=1.000000";
 
+// The stable counters of the baseline's digest, in this order.
+constexpr std::array<const char*, 4> kStableCounters = {
+    "features_analyze_calls", "ml_rows_predicted", "ml_trees_fitted",
+    "rt_parallel_regions"};
+
+std::array<std::uint64_t, 4> stableCounterValues() {
+  std::array<std::uint64_t, 4> values{};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = obs::MetricsRegistry::global().counterValue(kStableCounters[i]);
+  }
+  return values;
+}
+
 TEST(Golden, OneShotPipelineMatchesPinnedDigest) {
+  // Deltas, not totals: the other tests in this process move them too.
+  const std::array<std::uint64_t, 4> before = stableCounterValues();
   const corpus::YearDataset data = corpus::buildYearDataset(2018, 24);
   llm::BuildOptions options;  // explicit: no environment variable is read
   options.steps = 3;
@@ -66,6 +92,12 @@ TEST(Golden, OneShotPipelineMatchesPinnedDigest) {
                 " transformed=" + std::to_string(transformed.samples.size()) +
                 " accuracy=" + util::formatDouble(accuracy, 6),
             kPipelineLine);
+
+  const std::array<std::uint64_t, 4> after = stableCounterValues();
+  const std::array<std::uint64_t, 4> expected = {576, 192, 60, 7};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], expected[i]) << kStableCounters[i];
+  }
 }
 
 std::uint64_t mix(std::uint64_t digest, double value) {
@@ -142,6 +174,88 @@ TEST(Golden, TablesIvViiiIxXMatchPinnedDigests) {
   EXPECT_EQ(util::toHex64(table08), "94cfa445ee6b8677");
   EXPECT_EQ(util::toHex64(table09), "523f09957fb14402");
   EXPECT_EQ(util::toHex64(table10), "531d3f654962a93b");
+}
+
+/// 60 classes (class 7 has a single row) over 18 columns of three kinds:
+/// mostly zero (constant inside many nodes), a few repeated levels (ties
+/// at thresholds), and continuous noise around a per-class mean. Every
+/// fourth row is a decoy that the training subset leaves out.
+ml::Dataset forestEdgeCases() {
+  util::Rng rng(2025);
+  ml::Dataset data;
+  for (int label = 0; label < 60; ++label) {
+    const int rows = label == 7 ? 1 : 3 + label % 4;
+    for (int r = 0; r < rows; ++r) {
+      std::vector<double> row;
+      for (int c = 0; c < 6; ++c) {
+        row.push_back(rng.bernoulli(0.1) ? 1.0 + label % (c + 2) : 0.0);
+        row.push_back(0.5 * static_cast<double>(
+                                (label / (c + 1) + rng.uniformInt(0, 1)) % 5));
+        row.push_back(0.1 * label + rng.normal(0.0, 1.0 + c));
+      }
+      data.x.push_back(std::move(row));
+      data.y.push_back(label);
+    }
+  }
+  return data;
+}
+
+std::string forestDigest(const ml::Dataset& data,
+                         const ml::ForestConfig& config) {
+  ml::RandomForest forest(config);
+  forest.fit(data);
+  std::ostringstream text;
+  forest.save(text);
+  return util::toHex64(util::hash64(text.str()));
+}
+
+TEST(Golden, ForestFitMatchesPinnedStructure) {
+  const ml::Dataset all = forestEdgeCases();
+  std::vector<std::size_t> train;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i % 4 != 3 || all.y[i] == 7) train.push_back(i);
+  }
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sca_golden_forest.mtx")
+          .string();
+  ml::MatrixWriter writer(all.dimension(), 1);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    writer.appendRow(all.row(i), all.y[i], 0);
+  }
+  ASSERT_TRUE(writer.finish(path).isOk());
+  auto opened = ml::MatrixFile::open(path, 1);
+  ASSERT_TRUE(opened.ok()) << opened.status().toString();
+  opened.value().setResidencyBudget(4096);  // evicts during the fit
+  const ml::Dataset mapped = ml::Dataset::fromMatrix(opened.value());
+
+  const ml::Dataset owned = all.subset(train);
+  const ml::Dataset view = all.subsetView(train);
+  const ml::Dataset matrixView = mapped.subsetView(train);
+
+  ml::ForestConfig randomized;
+  randomized.treeCount = 16;
+  randomized.seed = 7;
+  ml::ForestConfig exact = randomized;
+  exact.tree.thresholdsPerFeature = 0;
+  ml::ForestConfig shallow = randomized;
+  shallow.tree.maxDepth = 6;
+  shallow.tree.minSamplesLeaf = 2;
+
+  const std::array<std::pair<const char*, ml::ForestConfig>, 3> modes = {{
+      {"randomized", randomized}, {"exact", exact}, {"shallow", shallow}}};
+  // Recorded with the per-threshold split search that the column kernel
+  // in decision_tree.cpp replaced: the trees themselves must not move.
+  const std::array<const char*, 3> expected = {
+      "172d474b397134d1", "f6abedb2432cefbc", "a172f7c74dbde9d5"};
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    const auto& [name, config] = modes[m];
+    EXPECT_EQ(forestDigest(owned, config), expected[m]) << name << " owned";
+    EXPECT_EQ(forestDigest(view, config), expected[m]) << name << " view";
+    EXPECT_EQ(forestDigest(matrixView, config), expected[m])
+        << name << " matrix";
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -33,6 +33,17 @@ Dataset blobs(std::size_t perClass, std::uint64_t seed) {
   return data;
 }
 
+/// The blobs plus a third column that also separates the classes, so the
+/// trees split on feature 2 and need 3-column rows.
+Dataset blobs3(std::size_t perClass, std::uint64_t seed) {
+  Dataset data = blobs(perClass, seed);
+  util::Rng rng(seed + 1);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.x[i].push_back(10.0 * data.y[i] + rng.normal(0, 0.5));
+  }
+  return data;
+}
+
 TEST(Dataset, ValidateCatchesShapeErrors) {
   Dataset ok = blobs(5, 1);
   EXPECT_NO_THROW(ok.validate());
@@ -72,6 +83,20 @@ TEST(DecisionTree, FitsSeparableDataPerfectly) {
   EXPECT_EQ(hits, data.size());
   EXPECT_GT(tree.nodeCount(), 1u);
   EXPECT_GT(tree.leafCount(), 1u);
+
+  // Fails closed on input that does not match the fit: a label past
+  // `classCount`, and a row narrower than the widest split feature.
+  DecisionTree narrow;
+  EXPECT_THROW(narrow.fit(data, all, 2, TreeConfig{}, util::Rng(1)),
+               std::invalid_argument);
+  const Dataset wide = blobs3(30, 4);
+  DecisionTree wideTree;
+  wideTree.fit(wide, all, 3, TreeConfig{}, util::Rng(2));
+  std::vector<double> splits(3, 0.0);
+  wideTree.accumulateSplitCounts(splits);
+  ASSERT_GT(splits[2], 0.0);
+  EXPECT_EQ(wideTree.predict(wide.x[0]), wide.y[0]);
+  EXPECT_THROW((void)wideTree.predict(data.x[0]), std::invalid_argument);
 }
 
 TEST(DecisionTree, ExactModeAlsoSeparates) {
@@ -125,6 +150,14 @@ TEST(RandomForest, HighAccuracyOnBlobs) {
   EXPECT_GT(accuracy(data.y, predictions), 0.97);
   EXPECT_EQ(forest.classCount(), 3);
   EXPECT_EQ(forest.treeCount(), 25u);
+
+  // A forest fitted on 3-column rows rejects 2-column ones on every path.
+  RandomForest wide(config);
+  wide.fit(blobs3(40, 7));
+  EXPECT_THROW((void)wide.predict(data.x[0]), std::invalid_argument);
+  EXPECT_THROW((void)wide.predictProba(data.x[0]), std::invalid_argument);
+  EXPECT_THROW((void)wide.predictAll(data.x), std::invalid_argument);
+  EXPECT_THROW((void)wide.predictAll(data), std::invalid_argument);
 }
 
 TEST(RandomForest, DeterministicForFixedSeed) {
@@ -248,6 +281,8 @@ TEST(DecisionTree, LoadRejectsGarbage) {
   const DecisionTree tree = DecisionTree::load(valid, 2, 1);
   EXPECT_EQ(tree.predict(std::vector<double>{0.2}), 0);
   EXPECT_EQ(tree.predict(std::vector<double>{0.9}), 1);
+  EXPECT_THROW((void)tree.predict(std::vector<double>{}),
+               std::invalid_argument);
   // ...while children that leave the tree or point back at their parent
   // (a cycle predict() would never leave), a feature index below -1, a
   // negative leaf label, and a label or split feature past the caller's

@@ -40,10 +40,12 @@
 # must reconstruct the lifecycles from the log, and macro_serve_load must
 # pass its load assertions and the history gate.
 #
-# Finally, an ASan+UBSan tree focused on the zero-copy lexer and arena
-# parser runs lexer_test, parser_fuzz_test and roundtrip_property_test:
-# the string_view offsets and arena id arithmetic those components rely on
-# are exactly what -fsanitize=address,undefined exists to check.
+# Finally, an ASan+UBSan tree runs two focus groups: the zero-copy lexer
+# and arena parser (lexer_test, parser_fuzz_test, roundtrip_property_test),
+# whose string_view offsets and arena id arithmetic are exactly what
+# -fsanitize=address,undefined exists to check, and the ML suites
+# (ml_test, matrix_test, golden_test), whose forest-fit kernel is index
+# ranges into one sample buffer and count tables indexed by label.
 #
 # Usage: tools/ci.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -601,23 +603,28 @@ SCA_THREADS="${SCA_TSAN_THREADS:-4}" \
 SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
   run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
 
-# ASan+UBSan focused pass over the zero-copy lexer and the arena parser:
-# every token is a string_view into a shared buffer and every AST node an
-# index into a pooled arena, so out-of-bounds views, misaligned access and
-# overflowing offset arithmetic are the realistic failure modes — and the
-# fuzz/property suites are the inputs most likely to provoke them. The
-# binaries run directly (not via ctest) because only these three targets
-# are built in this tree.
+# ASan+UBSan focused pass over two groups. The zero-copy lexer and the
+# arena parser: every token is a string_view into a shared buffer and every
+# AST node an index into a pooled arena, so out-of-bounds views, misaligned
+# access and overflowing offset arithmetic are the realistic failure modes
+# — and the fuzz/property suites are the inputs most likely to provoke
+# them. The ML suites: the forest-fit kernel partitions [begin, end) ranges
+# of one sample buffer and indexes count tables by label and threshold,
+# and the golden forest-structure test drives it through owned, view and
+# matrix-backed storage. The binaries run directly (not via ctest) because
+# only these six targets are built in this tree.
 ubsan_focus() {
-  echo "=== configure build-asan-ubsan (lexer/parser focus) ==="
+  local tests="lexer_test parser_fuzz_test roundtrip_property_test"
+  tests+=" ml_test matrix_test golden_test"
+  echo "=== configure build-asan-ubsan (lexer/parser and ML focus) ==="
   cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCA_SANITIZE=address+undefined
   echo "=== build build-asan-ubsan ==="
-  cmake --build build-asan-ubsan -j "$JOBS" \
-    --target lexer_test parser_fuzz_test roundtrip_property_test
+  # shellcheck disable=SC2086  # word splitting is the point
+  cmake --build build-asan-ubsan -j "$JOBS" --target $tests
   echo "=== test build-asan-ubsan ==="
   local t
-  for t in lexer_test parser_fuzz_test roundtrip_property_test; do
+  for t in $tests; do
     "build-asan-ubsan/tests/$t" ||
       { echo "$t failed under ASan+UBSan" >&2; exit 1; }
   done
