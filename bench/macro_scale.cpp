@@ -35,6 +35,7 @@
 // `sca_cli history check` flags an RSS regression across runs the same
 // way it flags a slowdown. SCA_SCALE_CRASH_SHARDS injects a mid-build
 // crash (nonzero exit, segments left behind) for the resume smoke test.
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -91,7 +92,13 @@ int main() {
   bench::Session session("macro_scale");
 
   const std::size_t authorCount = envSize("SCA_SCALE_AUTHORS", 50000);
-  const std::size_t shardSize = envSize("SCA_SCALE_SHARD", 2048);
+  // Each generating worker holds its shard's rows until the segment is
+  // written, so the streaming peak grows with shard size times threads.
+  // A sixteenth of the corpus keeps that working set well below the
+  // resident footprint the RSS assertion compares against; a 2,048-author
+  // shard at 4,000 authors held half the corpus per worker and failed it.
+  const std::size_t shardSize = envSize(
+      "SCA_SCALE_SHARD", std::clamp<std::size_t>(authorCount / 16, 64, 2048));
   const std::size_t budgetBytes = envSize("SCA_SCALE_BUDGET_MB", 64) << 20;
   const std::size_t trainAuthors =
       std::min(envSize("SCA_SCALE_TRAIN_AUTHORS", 256), authorCount);

@@ -1,7 +1,6 @@
 #include "features/extractor.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -20,70 +19,24 @@
 namespace sca::features {
 namespace {
 
-/// Everything the syntactic feature block needs, precomputed from the AST.
-/// The analysis cache keeps this flat summary instead of the AST itself:
-/// kind counts are aligned to the allStmt/ExprKindNames() tables.
-struct SyntacticSummary {
-  std::vector<std::uint64_t> stmtKindCounts;  // aligned to allStmtKindNames()
-  std::uint64_t stmtTotal = 0;
-  std::vector<std::uint64_t> exprKindCounts;  // aligned to allExprKindNames()
-  std::uint64_t exprTotal = 0;
-  std::uint64_t maxDepth = 0;
-  double meanDepth = 0.0;
-  std::uint64_t functionCount = 0;
-  double paramSum = 0.0;
-  std::uint64_t aliasCount = 0;
-  bool usingNamespaceStd = false;
-  std::uint64_t includeCount = 0;
-  bool bitsHeader = false;
-  std::vector<std::string> bigrams;  // ast::stmtKindBigrams(unit)
+/// Everything a projection needs from one source, computed once. The three
+/// column blocks hold every vocabulary-independent column of their family
+/// in schema order; the two bags are what the fitted vocabularies project.
+/// No token text survives the analysis, so a memo entry stays small
+/// (about 1.5 KB on the 2017 corpus).
+struct FeatureRecord {
+  std::vector<double> lexical;    // kw: ratios, then the 13 lex: scalars
+  std::vector<double> layout;     // the 16 lay: columns
+  std::vector<double> syntactic;  // stmt:/expr: ratios, then 9 syn: scalars
+  TermBag identifiers;            // lowercase identifier words
+  TermBag bigrams;                // parent>child statement-kind bigrams
 };
 
-/// Everything transform() needs, computed once per source. The tokens stay
-/// inside their TokenStream (views into its buffer), so a cached analysis
-/// holds exactly one allocation for all token text.
-struct Analyzed {
-  lexer::TokenStream tokens;
-  lexer::LayoutMetrics layout;
-  SyntacticSummary syntax;
-};
+/// Lex + layout + parse of one source into its record, bypassing the memo
+/// (defined below, after the column helpers it uses).
+FeatureRecord computeRecord(const std::string& source);
 
-SyntacticSummary summarize(const ast::TranslationUnit& unit) {
-  SyntacticSummary s;
-  // One fused traversal for kind counts, depth stats and bigrams (it used
-  // to be four std::function-driven walks over the same tree).
-  ast::UnitScan scan = ast::scanUnit(unit);
-  s.stmtKindCounts = std::move(scan.stmtKindCounts);
-  s.stmtTotal = scan.stmtTotal;
-  s.exprKindCounts = std::move(scan.exprKindCounts);
-  s.exprTotal = scan.exprTotal;
-  s.maxDepth = scan.depth.maxDepth;
-  s.meanDepth = scan.depth.mean();
-  s.functionCount = unit.functions.size();
-  for (const ast::Function& fn : unit.functions) {
-    s.paramSum += static_cast<double>(fn.params.size());
-  }
-  s.aliasCount = unit.aliases.size();
-  s.usingNamespaceStd = unit.usingNamespaceStd;
-  s.includeCount = unit.includes.size();
-  s.bitsHeader = std::find(unit.includes.begin(), unit.includes.end(),
-                           "bits/stdc++.h") != unit.includes.end();
-  s.bigrams = std::move(scan.bigrams);
-  return s;
-}
-
-/// Lex + layout + parse of one source, bypassing the memo.
-Analyzed computeAnalysis(const std::string& source) {
-  Analyzed a;
-  a.tokens = lexer::tokenize(source);
-  a.layout = lexer::computeLayoutMetrics(source);
-  // Parse from the stream we already lexed — tokenizing twice per
-  // analysis used to be the second-largest cost of an analysis.
-  a.syntax = summarize(ast::parse(a.tokens).unit);
-  return a;
-}
-
-/// Process-global content-keyed memo of analyses (see extractor.hpp).
+/// Process-global content-keyed memo of records (see extractor.hpp).
 /// Bounded: past kMaxEntries the cache is dropped wholesale rather than
 /// evicted piecemeal — the working set of one bench run (a few thousand
 /// samples) fits comfortably, so overflow only happens across unrelated
@@ -92,7 +45,7 @@ class AnalysisCache {
  public:
   static constexpr std::size_t kMaxEntries = 32768;
 
-  std::shared_ptr<const Analyzed> get(const std::string& source) {
+  std::shared_ptr<const FeatureRecord> get(const std::string& source) {
     analyzeCalls_.add();
     {
       std::shared_lock lock(mutex_);
@@ -103,12 +56,15 @@ class AnalysisCache {
       }
     }
 
-    auto analyzed = std::make_shared<const Analyzed>(computeAnalysis(source));
+    FeatureRecord computed = computeRecord(source);
+    computed.identifiers.shrinkToFit();  // the memo keeps it: trim it
+    computed.bigrams.shrinkToFit();
+    auto record = std::make_shared<const FeatureRecord>(std::move(computed));
 
     std::unique_lock lock(mutex_);
     misses_.add();
     if (entries_.size() >= kMaxEntries) entries_.clear();
-    return entries_.try_emplace(source, std::move(analyzed)).first->second;
+    return entries_.try_emplace(source, std::move(record)).first->second;
   }
 
   AnalysisCacheStats stats() const {
@@ -139,7 +95,8 @@ class AnalysisCache {
 
  private:
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const Analyzed>> entries_;
+  std::unordered_map<std::string, std::shared_ptr<const FeatureRecord>>
+      entries_;
   std::uint64_t hitsAtClear_ = 0;    // guarded by mutex_
   std::uint64_t missesAtClear_ = 0;  // guarded by mutex_
   // Total analyze() calls are event-deterministic (stable); the hit/miss
@@ -153,7 +110,7 @@ class AnalysisCache {
       "features_cache_misses", obs::Stability::kRuntime);
 };
 
-std::shared_ptr<const Analyzed> analyze(const std::string& source) {
+std::shared_ptr<const FeatureRecord> analyze(const std::string& source) {
   return AnalysisCache::global().get(source);
 }
 
@@ -179,13 +136,11 @@ constexpr bool isAsciiLower(char c) { return c >= 'a' && c <= 'z'; }
 NamingCounts countNaming(const lexer::TokenStream& tokens) {
   NamingCounts c;
   double lengthSum = 0.0;
-  // Views borrow from `tokens`, which outlives this function — sorting
-  // views for the distinct count never copies a name.
-  std::vector<std::string_view> seen;
+  TermBag names;  // hashing the distinct names beats sorting every use
   for (const lexer::Token& t : tokens) {
     if (!t.is(lexer::TokenKind::Identifier)) continue;
     const std::string_view name = t.text;
-    seen.push_back(name);
+    names.add(name);
     lengthSum += static_cast<double>(name.size());
     c.maxLength = std::max(c.maxLength, static_cast<double>(name.size()));
     ++c.total;
@@ -212,9 +167,7 @@ NamingCounts countNaming(const lexer::TokenStream& tokens) {
     }
   }
   if (c.total > 0) c.meanLength = lengthSum / static_cast<double>(c.total);
-  std::sort(seen.begin(), seen.end());
-  c.distinct = static_cast<std::size_t>(
-      std::unique(seen.begin(), seen.end()) - seen.begin());
+  c.distinct = names.distinct();
   return c;
 }
 
@@ -231,66 +184,20 @@ std::string_view familyName(FeatureFamily family) noexcept {
 
 namespace {
 
-/// identifierTerms over an existing token stream (skips re-tokenizing).
-/// Splits each identifier with util::splitIdentifier's exact boundary rules
-/// but appends the lowered words straight into the result, skipping the
-/// intermediate per-identifier vector the util function returns.
-std::vector<std::string> identifierTermsFromTokens(
-    const lexer::TokenStream& tokens) {
-  std::vector<std::string> terms;
-  std::string word;
-  auto flush = [&] {
-    if (!word.empty()) {
-      terms.push_back(word);
-      word.clear();
-    }
-  };
-  bool lastUpper = false;
-  for (const lexer::Token& t : tokens) {
-    if (!t.is(lexer::TokenKind::Identifier)) continue;
-    const std::string_view name = t.text;
-    for (std::size_t i = 0; i < name.size(); ++i) {
-      const char c = name[i];
-      if (c == '_') {
-        flush();
-        continue;
-      }
-      const bool upper = isAsciiUpper(c);
-      if (upper && !word.empty()) {
-        const bool nextLower = i + 1 < name.size() && isAsciiLower(name[i + 1]);
-        if (!lastUpper || nextLower) flush();
-      }
-      word.push_back(upper ? static_cast<char>(c + 32) : c);
-      lastUpper = upper;
-    }
-    flush();
-  }
-  return terms;
-}
-
-/// Allocation-free equivalent of
-/// vocab.vectorize(identifierTermsFromTokens(tokens)): identifier words are
-/// split into one reused buffer and looked up as views, never materialized
-/// into a per-call std::vector<std::string>. The math matches
-/// Vocabulary::vectorize exactly — +1.0 per in-vocabulary term, then an L1
-/// normalization by the TOTAL term count (out-of-vocabulary included), with
-/// an all-zeros vector for a termless stream.
-std::vector<double> vectorizeIdentifierTerms(const Vocabulary& vocab,
-                                             const lexer::TokenStream& tokens) {
-  std::vector<double> vec(vocab.size(), 0.0);
-  std::size_t termCount = 0;
+/// Calls emit(word) for each lowercase word of every identifier token,
+/// splitting into one reused buffer. Word boundaries replicate
+/// util::splitIdentifier: '_' separators plus camelCase transitions, where
+/// an acronym run only breaks before its trailing lowercase ("HTTPServer"
+/// -> "http", "server"). `lastUpper` carries the original case of
+/// word.back(), since the buffer holds the already-lowered character.
+template <typename Emit>
+void forEachIdentifierWord(const lexer::TokenStream& tokens, Emit&& emit) {
   std::string word;
   auto flush = [&] {
     if (word.empty()) return;
-    ++termCount;
-    if (const auto idx = vocab.indexOf(word)) vec[*idx] += 1.0;
+    emit(std::string_view(word));
     word.clear();
   };
-  // Word boundaries replicate util::splitIdentifier: '_' separators plus
-  // camelCase transitions, where an acronym run only breaks before its
-  // trailing lowercase ("HTTPServer" -> "http", "server"). `lastUpper`
-  // carries the original case of word.back() since the buffer stores the
-  // already-lowered character.
   bool lastUpper = false;
   for (const lexer::Token& t : tokens) {
     if (!t.is(lexer::TokenKind::Identifier)) continue;
@@ -311,18 +218,138 @@ std::vector<double> vectorizeIdentifierTerms(const Vocabulary& vocab,
     }
     flush();
   }
-  if (termCount > 0) {
-    const double norm = static_cast<double>(termCount);
-    for (double& v : vec) v /= norm;
+}
+
+std::vector<double> lexicalColumns(const lexer::TokenStream& tokens,
+                                   std::size_t lineCount) {
+  // Keyword columns tally into a fixed array indexed by cppKeywordIndex
+  // (same order as cppKeywords(), so the emitted columns line up with the
+  // schema) — no string-keyed map on the per-sample path.
+  std::size_t tokenCount = 0;
+  std::vector<std::size_t> keywordCounts(lexer::cppKeywordCount(), 0);
+  std::size_t intLits = 0, floatLits = 0, stringLits = 0, charLits = 0;
+  std::size_t preprocessor = 0;
+  for (const lexer::Token& t : tokens) {
+    if (t.is(lexer::TokenKind::EndOfFile)) continue;
+    ++tokenCount;
+    switch (t.kind) {
+      case lexer::TokenKind::Keyword: {
+        // An out-of-table keyword text just doesn't count.
+        const std::size_t i = lexer::cppKeywordIndex(t.text);
+        if (i < keywordCounts.size()) ++keywordCounts[i];
+        break;
+      }
+      case lexer::TokenKind::IntLiteral: ++intLits; break;
+      case lexer::TokenKind::FloatLiteral: ++floatLits; break;
+      case lexer::TokenKind::StringLiteral: ++stringLits; break;
+      case lexer::TokenKind::CharLiteral: ++charLits; break;
+      case lexer::TokenKind::Preprocessor: ++preprocessor; break;
+      default: break;
+    }
   }
+
+  std::vector<double> vec;
+  vec.reserve(keywordCounts.size() + 13);
+  for (const std::size_t count : keywordCounts) {
+    vec.push_back(ratio(count, tokenCount));
+  }
+  const NamingCounts naming = countNaming(tokens);
+  vec.push_back(naming.meanLength / 16.0);
+  vec.push_back(naming.maxLength / 32.0);
+  vec.push_back(ratio(naming.distinct, naming.total));
+  const std::size_t classified = naming.snake + naming.camel + naming.pascal +
+                                 naming.lower + naming.hungarian;
+  vec.push_back(ratio(naming.snake, classified));
+  vec.push_back(ratio(naming.camel, classified));
+  vec.push_back(ratio(naming.pascal, classified));
+  vec.push_back(ratio(naming.lower, classified));
+  vec.push_back(ratio(naming.hungarian, classified));
+  vec.push_back(ratio(intLits, tokenCount));
+  vec.push_back(ratio(floatLits, tokenCount));
+  vec.push_back(ratio(stringLits, tokenCount));
+  vec.push_back(ratio(charLits, tokenCount));
+  vec.push_back(ratio(preprocessor, lineCount));
   return vec;
+}
+
+std::vector<double> layoutColumns(const lexer::LayoutMetrics& m) {
+  return {std::log1p(static_cast<double>(m.lineCount)) / 6.0,
+          m.blankLineRatio(),
+          m.commentCharRatio(),
+          ratio(m.lineComments, m.lineCount),
+          ratio(m.blockComments, m.lineCount),
+          m.tabIndentRatio(),
+          m.meanIndentWidth / 16.0,
+          ratio(m.indentWidth2, m.indentedLines),
+          ratio(m.indentWidth4, m.indentedLines),
+          ratio(m.indentWidth8, m.indentedLines),
+          m.allmanBraceRatio(),
+          m.spacedOpRatio(),
+          m.spaceAfterCommaRatio(),
+          m.spaceAfterKeywordRatio(),
+          m.meanLineLength / 80.0,
+          static_cast<double>(m.maxLineLength) / 200.0};
+}
+
+/// The syntactic columns of `unit`; counts its bigrams into `bigrams`.
+std::vector<double> syntacticColumns(const ast::TranslationUnit& unit,
+                                     TermBag& bigrams) {
+  // One fused traversal for kind counts, depth stats and bigrams.
+  const ast::UnitScan scan = ast::scanUnit(unit);
+  std::vector<double> vec;
+  vec.reserve(scan.stmtKindCounts.size() + scan.exprKindCounts.size() + 9);
+  for (const std::uint64_t count : scan.stmtKindCounts) {
+    vec.push_back(ratio(count, scan.stmtTotal));
+  }
+  for (const std::uint64_t count : scan.exprKindCounts) {
+    vec.push_back(ratio(count, scan.exprTotal));
+  }
+  const auto functionCount = static_cast<double>(unit.functions.size());
+  double paramSum = 0.0;
+  for (const ast::Function& fn : unit.functions) {
+    paramSum += static_cast<double>(fn.params.size());
+  }
+  vec.push_back(static_cast<double>(scan.depth.maxDepth) / 10.0);
+  vec.push_back(scan.depth.mean() / 5.0);
+  vec.push_back(functionCount / 5.0);
+  vec.push_back(unit.functions.empty()
+                    ? 0.0
+                    : static_cast<double>(scan.stmtTotal) /
+                          (30.0 * functionCount));
+  vec.push_back(unit.functions.empty() ? 0.0
+                                       : paramSum / functionCount / 4.0);
+  vec.push_back(static_cast<double>(unit.aliases.size()));
+  vec.push_back(unit.usingNamespaceStd ? 1.0 : 0.0);
+  vec.push_back(static_cast<double>(unit.includes.size()) / 6.0);
+  const bool bitsHeader = std::find(unit.includes.begin(),
+                                    unit.includes.end(),
+                                    "bits/stdc++.h") != unit.includes.end();
+  vec.push_back(bitsHeader ? 1.0 : 0.0);
+  for (const std::string& bigram : scan.bigrams) bigrams.add(bigram);
+  return vec;
+}
+
+FeatureRecord computeRecord(const std::string& source) {
+  const lexer::TokenStream tokens = lexer::tokenize(source);
+  const lexer::LayoutMetrics layout = lexer::computeLayoutMetrics(source);
+  FeatureRecord r;
+  r.lexical = lexicalColumns(tokens, layout.lineCount);
+  forEachIdentifierWord(
+      tokens, [&](std::string_view word) { r.identifiers.add(word); });
+  r.layout = layoutColumns(layout);
+  // Parse from the stream we already lexed — tokenizing twice per
+  // analysis used to be the second-largest cost of an analysis.
+  r.syntactic = syntacticColumns(ast::parse(tokens).unit, r.bigrams);
+  return r;
 }
 
 }  // namespace
 
 std::vector<std::string> identifierTerms(const std::string& source) {
-  const lexer::TokenStream stream = lexer::tokenize(source);
-  return identifierTermsFromTokens(stream);
+  std::vector<std::string> terms;
+  forEachIdentifierWord(lexer::tokenize(source),
+                        [&](std::string_view word) { terms.emplace_back(word); });
+  return terms;
 }
 
 FeatureExtractor::FeatureExtractor(ExtractorConfig config) : config_(config) {
@@ -344,29 +371,20 @@ void FeatureExtractor::fit(const std::vector<std::string>& sources) {
   // phase (one scope per batch call, on the calling thread, so the
   // CI slowdown-injection hook fires O(1) times per run).
   runtime::PhaseTimer timer("analysis");
-  // Per-source docs come straight off the shared analysis cache, in
-  // parallel; vocabulary fitting itself stays serial (term counting is
-  // order-independent but cheap).
-  struct Docs {
-    std::vector<std::string> identifiers;
-    std::vector<std::string> bigrams;
-  };
-  std::vector<Docs> docs = runtime::parallelMap<Docs>(
-      sources.size(),
-      [&](std::size_t i) {
-        const std::shared_ptr<const Analyzed> a = analyze(sources[i]);
-        return Docs{identifierTermsFromTokens(a->tokens),
-                    a->syntax.bigrams};
-      },
-      runtime::ParallelOptions{.maxWorkers = 0, .grain = 8});
-
-  std::vector<std::vector<std::string>> identifierDocs;
-  std::vector<std::vector<std::string>> bigramDocs;
-  identifierDocs.reserve(sources.size());
-  bigramDocs.reserve(sources.size());
-  for (Docs& d : docs) {
-    identifierDocs.push_back(std::move(d.identifiers));
-    bigramDocs.push_back(std::move(d.bigrams));
+  // Records come straight off the shared memo, in parallel; the
+  // vocabularies then count document frequency once per distinct term of
+  // each record's bags, serially (order-independent and cheap).
+  const std::vector<std::shared_ptr<const FeatureRecord>> records =
+      runtime::parallelMap<std::shared_ptr<const FeatureRecord>>(
+          sources.size(), [&](std::size_t i) { return analyze(sources[i]); },
+          runtime::ParallelOptions{.maxWorkers = 0, .grain = 8});
+  std::vector<const TermBag*> identifierDocs;
+  std::vector<const TermBag*> bigramDocs;
+  identifierDocs.reserve(records.size());
+  bigramDocs.reserve(records.size());
+  for (const std::shared_ptr<const FeatureRecord>& record : records) {
+    identifierDocs.push_back(&record->identifiers);
+    bigramDocs.push_back(&record->bigrams);
   }
   identifierVocab_ =
       Vocabulary::fit(identifierDocs, config_.identifierVocabulary);
@@ -447,118 +465,25 @@ void FeatureExtractor::buildSchema() {
 namespace {
 
 /// The projection step shared by transform() and transformUncached():
-/// analysis -> feature vector, using only the extractor's public schema
-/// accessors. Where the analysis came from (memo or fresh) cannot change
-/// a single bit of the output.
-std::vector<double> projectAnalyzed(const FeatureExtractor& ex,
-                                    const Analyzed& a) {
+/// record -> feature vector, using only the extractor's public schema
+/// accessors. Where the record came from (memo or fresh) cannot change a
+/// single bit of the output.
+std::vector<double> project(const FeatureExtractor& ex,
+                            const FeatureRecord& record) {
   const ExtractorConfig& config = ex.config();
   std::vector<double> vec;
   vec.reserve(ex.dimension());
-
-  // Token tallies shared by the lexical block. Keyword columns tally into
-  // a fixed array indexed by cppKeywordIndex (same order as cppKeywords(),
-  // so the emitted columns are unchanged) — no string-keyed map on the
-  // per-sample path.
-  std::size_t tokenCount = 0;
-  std::vector<std::size_t> keywordCounts(lexer::cppKeywordCount(), 0);
-  std::size_t intLits = 0, floatLits = 0, stringLits = 0, charLits = 0;
-  std::size_t preprocessor = 0;
-  for (const lexer::Token& t : a.tokens) {
-    if (t.is(lexer::TokenKind::EndOfFile)) continue;
-    ++tokenCount;
-    switch (t.kind) {
-      case lexer::TokenKind::Keyword: {
-        // Guard: a cache-restored stream could in principle mark a
-        // non-keyword text as Keyword; out-of-table just doesn't count.
-        const std::size_t i = lexer::cppKeywordIndex(t.text);
-        if (i < keywordCounts.size()) ++keywordCounts[i];
-        break;
-      }
-      case lexer::TokenKind::IntLiteral: ++intLits; break;
-      case lexer::TokenKind::FloatLiteral: ++floatLits; break;
-      case lexer::TokenKind::StringLiteral: ++stringLits; break;
-      case lexer::TokenKind::CharLiteral: ++charLits; break;
-      case lexer::TokenKind::Preprocessor: ++preprocessor; break;
-      default: break;
-    }
-  }
-
   if (config.useLexical) {
-    for (const std::size_t count : keywordCounts) {
-      vec.push_back(ratio(count, tokenCount));
-    }
-    const NamingCounts naming = countNaming(a.tokens);
-    vec.push_back(naming.meanLength / 16.0);
-    vec.push_back(naming.maxLength / 32.0);
-    vec.push_back(ratio(naming.distinct, naming.total));
-    const std::size_t classified = naming.snake + naming.camel +
-                                   naming.pascal + naming.lower +
-                                   naming.hungarian;
-    vec.push_back(ratio(naming.snake, classified));
-    vec.push_back(ratio(naming.camel, classified));
-    vec.push_back(ratio(naming.pascal, classified));
-    vec.push_back(ratio(naming.lower, classified));
-    vec.push_back(ratio(naming.hungarian, classified));
-    vec.push_back(ratio(intLits, tokenCount));
-    vec.push_back(ratio(floatLits, tokenCount));
-    vec.push_back(ratio(stringLits, tokenCount));
-    vec.push_back(ratio(charLits, tokenCount));
-    vec.push_back(ratio(preprocessor, a.layout.lineCount));
-    for (const double v :
-         vectorizeIdentifierTerms(ex.identifierVocabulary(), a.tokens)) {
-      vec.push_back(v);
-    }
+    vec.insert(vec.end(), record.lexical.begin(), record.lexical.end());
+    ex.identifierVocabulary().project(record.identifiers, vec);
   }
-
   if (config.useLayout) {
-    const lexer::LayoutMetrics& m = a.layout;
-    vec.push_back(std::log1p(static_cast<double>(m.lineCount)) / 6.0);
-    vec.push_back(m.blankLineRatio());
-    vec.push_back(m.commentCharRatio());
-    vec.push_back(ratio(m.lineComments, m.lineCount));
-    vec.push_back(ratio(m.blockComments, m.lineCount));
-    vec.push_back(m.tabIndentRatio());
-    vec.push_back(m.meanIndentWidth / 16.0);
-    vec.push_back(ratio(m.indentWidth2, m.indentedLines));
-    vec.push_back(ratio(m.indentWidth4, m.indentedLines));
-    vec.push_back(ratio(m.indentWidth8, m.indentedLines));
-    vec.push_back(m.allmanBraceRatio());
-    vec.push_back(m.spacedOpRatio());
-    vec.push_back(m.spaceAfterCommaRatio());
-    vec.push_back(m.spaceAfterKeywordRatio());
-    vec.push_back(m.meanLineLength / 80.0);
-    vec.push_back(static_cast<double>(m.maxLineLength) / 200.0);
+    vec.insert(vec.end(), record.layout.begin(), record.layout.end());
   }
-
   if (config.useSyntactic) {
-    const SyntacticSummary& s = a.syntax;
-    for (const std::uint64_t count : s.stmtKindCounts) {
-      vec.push_back(ratio(count, s.stmtTotal));
-    }
-    for (const std::uint64_t count : s.exprKindCounts) {
-      vec.push_back(ratio(count, s.exprTotal));
-    }
-    vec.push_back(static_cast<double>(s.maxDepth) / 10.0);
-    vec.push_back(s.meanDepth / 5.0);
-    vec.push_back(static_cast<double>(s.functionCount) / 5.0);
-    vec.push_back(s.functionCount == 0
-                      ? 0.0
-                      : static_cast<double>(s.stmtTotal) /
-                            (30.0 * static_cast<double>(s.functionCount)));
-    vec.push_back(s.functionCount == 0
-                      ? 0.0
-                      : s.paramSum / static_cast<double>(s.functionCount) /
-                            4.0);
-    vec.push_back(static_cast<double>(s.aliasCount));
-    vec.push_back(s.usingNamespaceStd ? 1.0 : 0.0);
-    vec.push_back(static_cast<double>(s.includeCount) / 6.0);
-    vec.push_back(s.bitsHeader ? 1.0 : 0.0);
-    for (const double v : ex.bigramVocabulary().vectorize(s.bigrams)) {
-      vec.push_back(v);
-    }
+    vec.insert(vec.end(), record.syntactic.begin(), record.syntactic.end());
+    ex.bigramVocabulary().project(record.bigrams, vec);
   }
-
   return vec;
 }
 
@@ -566,7 +491,7 @@ std::vector<double> projectAnalyzed(const FeatureExtractor& ex,
 
 std::vector<double> FeatureExtractor::transform(
     const std::string& source) const {
-  return projectAnalyzed(*this, *analyze(source));
+  return project(*this, *analyze(source));
 }
 
 std::vector<double> FeatureExtractor::transformUncached(
@@ -577,7 +502,7 @@ std::vector<double> FeatureExtractor::transformUncached(
   static obs::Counter uncached = obs::MetricsRegistry::global().counter(
       "features_uncached_transforms", obs::Stability::kRuntime);
   uncached.add();
-  return projectAnalyzed(*this, computeAnalysis(source));
+  return project(*this, computeRecord(source));
 }
 
 std::vector<std::vector<double>> FeatureExtractor::transformAll(

@@ -90,18 +90,22 @@ class FeatureExtractor {
 };
 
 /// Lowercase word terms of every identifier token in `source`
-/// ("numCases" -> num, cases). Exposed for tests and the vocabulary.
+/// ("numCases" -> num, cases): the terms of the identifier vocabulary.
 [[nodiscard]] std::vector<std::string> identifierTerms(
     const std::string& source);
 
 // ------------------------------------------------------- analysis cache --
 // transform()/fit() front their lex+layout+parse work with a process-global
-// memoization cache keyed by source content. The cached analysis is
-// extractor-independent (vocabularies only affect the projection), so a
-// sample re-extracted across CV folds, oracle labeling and re-training pays
-// for lexing and parsing exactly once. Reads take a shared lock; the cache
-// is safe from parallel extraction tasks, and results are identical with
-// the cache cleared, cold or warm.
+// memoization cache keyed by source content. Each entry is a feature
+// record: every column no vocabulary can change, computed once, plus the
+// source's identifier words and statement bigrams as term bags (distinct
+// terms with counts and a total). The record is extractor-independent
+// (vocabularies only affect the projection), so a sample re-extracted
+// across CV folds, oracle labeling and re-training pays for lexing,
+// parsing and those columns exactly once, and a fold's projection copies
+// the fixed columns and looks up each distinct term once. Reads take a
+// shared lock; the cache is safe from parallel extraction tasks, and
+// results are identical with the cache cleared, cold or warm.
 
 struct AnalysisCacheStats {
   std::size_t hits = 0;

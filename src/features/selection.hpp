@@ -14,7 +14,9 @@ namespace sca::features {
 class FeatureSelector {
  public:
   /// Scores features on (x, y) and keeps the `k` highest-gain columns.
-  /// If k >= dimension or k == 0, selection is the identity.
+  /// If k >= dimension or k == 0, selection is the identity. Throws
+  /// std::invalid_argument when x and y differ in length or a row is
+  /// narrower than x[0].
   void fit(const std::vector<std::vector<double>>& x,
            const std::vector<int>& y, std::size_t k);
 
@@ -22,7 +24,8 @@ class FeatureSelector {
   /// an empty list is the identity. Gains are not restored.
   static FeatureSelector fromIndices(std::vector<std::size_t> indices);
 
-  /// Projects one vector onto the selected columns.
+  /// Projects one vector onto the selected columns. Throws
+  /// std::invalid_argument when `vec` lacks a selected column.
   [[nodiscard]] std::vector<double> apply(
       const std::vector<double>& vec) const;
 
@@ -44,6 +47,7 @@ class FeatureSelector {
  private:
   std::vector<std::size_t> selected_;  // empty => identity
   std::vector<double> gains_;
+  std::size_t width_ = 0;  // largest selected index + 1
 };
 
 /// Shannon entropy (nats) of an integer label vector.

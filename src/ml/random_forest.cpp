@@ -1,6 +1,7 @@
 #include "ml/random_forest.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -47,18 +48,24 @@ void RandomForest::fit(const Dataset& data) {
       0, trees_.size(),
       [&](std::size_t t) {
         util::Rng rng = treeRngs[t];
-        std::vector<std::size_t> bootstrap(bootstrapSize);
+        std::vector<std::uint32_t> draws(data.size(), 0);
         for (std::size_t i = 0; i < bootstrapSize; ++i) {
-          bootstrap[i] = static_cast<std::size_t>(rng.uniformInt(
-              0, static_cast<std::int64_t>(data.size()) - 1));
+          ++draws[static_cast<std::size_t>(rng.uniformInt(
+              0, static_cast<std::int64_t>(data.size()) - 1))];
         }
-        // Ascending bootstrap turns every node's row accesses into a
-        // forward scan — sequential page faults on mmap-backed datasets.
-        // It cannot change the fitted tree: per-node class counts, gini,
-        // feature min/max, the sorted exact sweep, and the RNG draw order
-        // are all invariant under sample permutation, and the partition
-        // step preserves whatever order it is given.
-        std::sort(bootstrap.begin(), bootstrap.end());
+        // The bootstrap is emitted in ascending row order, each row as
+        // often as it was drawn: the sorted draw sequence, without a sort.
+        // Ascending order turns every node's row accesses into a forward
+        // scan — sequential page faults on mmap-backed datasets. It cannot
+        // change the fitted tree: per-node class counts, gini, feature
+        // min/max, the sorted exact sweep, and the RNG draw order are all
+        // invariant under sample permutation, and the partition step
+        // preserves whatever order it is given.
+        std::vector<std::size_t> bootstrap;
+        bootstrap.reserve(bootstrapSize);
+        for (std::size_t row = 0; row < draws.size(); ++row) {
+          bootstrap.insert(bootstrap.end(), draws[row], row);
+        }
         trees_[t].fit(data, bootstrap, classCount_, config_.tree,
                       rng.derive("tree"));
       },

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "corpus/dataset.hpp"
 #include "features/extractor.hpp"
@@ -49,6 +50,24 @@ TEST(Vocabulary, VectorizeIsL1NormalizedTermFrequency) {
 TEST(Vocabulary, EmptyDocumentYieldsZeros) {
   const Vocabulary vocab = Vocabulary::fit({{"x"}}, 4);
   for (const double v : vocab.vectorize({})) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(Vocabulary, TermBagCountsDistinctTerms) {
+  TermBag bag;
+  for (int i = 0; i < 300; ++i) bag.add("t" + std::to_string(i % 100));
+  EXPECT_EQ(bag.distinct(), 100u);
+  EXPECT_EQ(bag.total(), 300u);
+  EXPECT_EQ(bag.term(0), "t0");  // first-occurrence order
+  bag.shrinkToFit();
+  bag.add("t7");  // counting resumes after the index is dropped
+  bag.add("new");
+  ASSERT_EQ(bag.distinct(), 101u);
+  EXPECT_EQ(bag.total(), 302u);
+  for (std::size_t i = 0; i < bag.distinct(); ++i) {
+    const std::size_t expected =
+        bag.term(i) == "t7" ? 4 : (bag.term(i) == "new" ? 1 : 3);
+    EXPECT_EQ(bag.count(i), expected) << bag.term(i);
+  }
 }
 
 TEST(IdentifierTerms, SplitsTokensIntoWords) {
@@ -169,6 +188,12 @@ TEST(Selection, PicksTheInformativeFeature) {
   EXPECT_EQ(sel.selected()[0], 0u);
   EXPECT_GT(sel.gains()[0], sel.gains()[2]);
   EXPECT_DOUBLE_EQ(sel.gains()[1], 0.0);
+
+  // Fails closed: one label short, then a row narrower than row 0.
+  const std::vector<int> shortY(y.begin(), y.end() - 1);
+  EXPECT_THROW(sel.fit(x, shortY, 1), std::invalid_argument);
+  x[7].pop_back();
+  EXPECT_THROW(sel.fit(x, y, 1), std::invalid_argument);
 }
 
 TEST(Selection, IdentityWhenKCoversAll) {
@@ -178,6 +203,9 @@ TEST(Selection, IdentityWhenKCoversAll) {
   sel.fit(x, y, 10);
   EXPECT_TRUE(sel.identity());
   EXPECT_EQ(sel.apply({7, 8}), (std::vector<double>{7, 8}));
+  // The shape checks run before the identity shortcut.
+  EXPECT_THROW(sel.fit(x, {0}, 10), std::invalid_argument);
+  EXPECT_THROW(sel.fit({{1, 2}, {3}}, y, 10), std::invalid_argument);
 }
 
 TEST(Selection, ApplyProjectsInGainOrder) {
@@ -195,6 +223,10 @@ TEST(Selection, ApplyProjectsInGainOrder) {
   EXPECT_EQ(sel.selected()[0], 1u);
   const auto projected = sel.apply({10, 20, 30});
   EXPECT_EQ(projected[0], 20);
+  // Selected columns are {1, 0}: two columns suffice, one does not.
+  EXPECT_EQ(sel.apply({10, 20}), (std::vector<double>{20, 10}));
+  EXPECT_THROW((void)sel.apply({10}), std::invalid_argument);
+  EXPECT_THROW((void)sel.applyAll({{10, 20}, {}}), std::invalid_argument);
 }
 
 TEST(Vocabulary, FromTermsRoundTrip) {
@@ -222,6 +254,7 @@ TEST(Selection, FromIndicesProjects) {
   const FeatureSelector sel = FeatureSelector::fromIndices({2, 0});
   EXPECT_FALSE(sel.identity());
   EXPECT_EQ(sel.apply({10, 20, 30}), (std::vector<double>{30, 10}));
+  EXPECT_THROW((void)sel.apply({10, 20}), std::invalid_argument);
 }
 
 TEST(Selection, LabelEntropy) {

@@ -14,6 +14,9 @@
 //   * The fitted forest itself: the saved text of forests fitted in each
 //     split mode from owned rows, an index view and a matrix-backed view.
 //     Two forests can score the same accuracy; only this pins the trees.
+//   * The feature matrix: fitted vocabularies and every transformed bit
+//     over a small year slice plus edge sources, under each family switch
+//     and a narrow vocabulary, and the selector's information gains.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -28,6 +31,8 @@
 #include "core/binary.hpp"
 #include "core/experiments.hpp"
 #include "corpus/dataset.hpp"
+#include "features/extractor.hpp"
+#include "features/selection.hpp"
 #include "llm/pipelines.hpp"
 #include "ml/matrix.hpp"
 #include "ml/random_forest.hpp"
@@ -256,6 +261,136 @@ TEST(Golden, ForestFitMatchesPinnedStructure) {
         << name << " matrix";
   }
   std::filesystem::remove(path);
+}
+
+/// One small year slice plus sources at the edges of a feature record:
+/// empty, no identifiers, no statements (so no bigrams), single-letter
+/// identifiers, and acronym, snake_case and underscore-only names.
+std::vector<std::string> featureCorpus() {
+  const corpus::YearDataset data = corpus::buildYearDataset(2018, 5);
+  std::vector<std::string> sources;
+  for (const corpus::CodeSample& sample : data.samples) {
+    sources.push_back(sample.source);
+  }
+  sources.push_back("");
+  sources.push_back("#include <cstdio>\n// nothing but a comment\n\n");
+  sources.push_back("using ll = long long;\nconst int kMaxN = 100;\n");
+  sources.push_back(
+      "int main() {\n  int a, b;\n  a = 1; b = a;\n  return a + b;\n}\n");
+  sources.push_back(
+      "struct HTTPServer { int x; };\n"
+      "int parse_HTTPServer_config(int max_retry_count, int numTCPConns) {\n"
+      "  int __ = 0;\n"
+      "  if (max_retry_count > numTCPConns) return __;\n"
+      "  return max_retry_count;\n}\n");
+  return sources;
+}
+
+std::uint64_t matrixDigest(std::uint64_t digest,
+                           const std::vector<std::vector<double>>& rows) {
+  for (const std::vector<double>& row : rows) {
+    digest = mix(digest, row.size());
+    for (const double value : row) digest = mix(digest, value);
+  }
+  return digest;
+}
+
+std::uint64_t gainsDigest(const features::FeatureSelector& selector) {
+  std::uint64_t digest = util::hash64("gains");
+  for (const double gain : selector.gains()) digest = mix(digest, gain);
+  for (const std::size_t index : selector.selected()) {
+    digest = mix(digest, index);
+  }
+  return digest;
+}
+
+TEST(Golden, FeatureMatrixMatchesPinnedDigest) {
+  const std::vector<std::string> sources = featureCorpus();
+
+  features::ExtractorConfig noLexical;
+  noLexical.useLexical = false;
+  features::ExtractorConfig noLayout;
+  noLayout.useLayout = false;
+  features::ExtractorConfig noSyntactic;
+  noSyntactic.useSyntactic = false;
+  // Narrow enough that the maxTerms cut falls inside a document-frequency
+  // tie, so the (freq desc, term asc) order decides the columns.
+  features::ExtractorConfig narrow;
+  narrow.identifierVocabulary = 5;
+  narrow.bigramVocabulary = 3;
+
+  const std::array<std::pair<const char*, features::ExtractorConfig>, 5>
+      configs = {{{"default", features::ExtractorConfig{}},
+                  {"no-lexical", noLexical},
+                  {"no-layout", noLayout},
+                  {"no-syntactic", noSyntactic},
+                  {"narrow", narrow}}};
+  // Recorded with the token-stream memo that the feature records replaced.
+  const std::array<const char*, 5> expected = {
+      "4d10361cce74667b", "27a4280f49f13b6a", "0e6cdf77d2d6afc4",
+      "342a135fcc8cd7a2", "f35bb93211663bae"};
+  std::vector<std::vector<double>> defaultMatrix;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const auto& [name, config] = configs[c];
+    features::clearAnalysisCache();
+    features::FeatureExtractor extractor(config);
+    extractor.fit(sources);
+    std::uint64_t digest = util::hash64(name);
+    for (const std::string& term : extractor.identifierVocabulary().terms()) {
+      digest = util::combine64(digest, util::hash64(term));
+    }
+    for (const std::string& term : extractor.bigramVocabulary().terms()) {
+      digest = util::combine64(digest, util::hash64(term));
+    }
+    const std::vector<std::vector<double>> matrix =
+        extractor.transformAll(sources);
+    EXPECT_EQ(util::toHex64(matrixDigest(digest, matrix)), expected[c])
+        << name;
+
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const std::vector<double> uncached =
+          extractor.transformUncached(sources[i]);
+      EXPECT_EQ(uncached, matrix[i]) << name << " warm, source " << i;
+      features::clearAnalysisCache();
+      EXPECT_EQ(extractor.transform(sources[i]), uncached)
+          << name << " cold, source " << i;
+    }
+    if (c == 0) defaultMatrix = matrix;
+  }
+
+  // Information gains: top-40 on two classes, and on sparse negative
+  // labels over columns whose values include their own exact mean (the
+  // "<= mean" side of the split).
+  std::vector<int> twoClass;
+  std::vector<int> sparse;
+  constexpr std::array<int, 3> kSparseLabels = {-3, 7, 204};
+  for (std::size_t i = 0; i < defaultMatrix.size(); ++i) {
+    twoClass.push_back(static_cast<int>(i % 2));
+    sparse.push_back(kSparseLabels[(i / 2) % 3]);
+  }
+  features::FeatureSelector binary;
+  binary.fit(defaultMatrix, twoClass, 40);
+  EXPECT_EQ(util::toHex64(gainsDigest(binary)), "c92852ccac7b9db5");
+
+  // Column 0's levels 0/1/2 average exactly 1.0, so its level-1 rows sit
+  // on the mean, and the labels differ by level: moving those rows to the
+  // other side of the split changes the gain.
+  std::vector<std::vector<double>> atMean;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const double level = static_cast<double>(i % 3);
+    atMean.push_back({level, 0.25 * static_cast<double>(i % 4), 5.0,
+                      static_cast<double>(i) - 5.5,
+                      defaultMatrix[i][defaultMatrix[i].size() / 2]});
+  }
+  const std::vector<int> atMeanLabels = {-3,  7,   204, -3, 7,   204,
+                                         -3,  204, 204, 7,  204, -3};
+  features::FeatureSelector negative;
+  negative.fit(atMean, atMeanLabels, 3);
+  EXPECT_EQ(util::toHex64(gainsDigest(negative)), "d417055aa371731b");
+
+  features::FeatureSelector sparseFull;
+  sparseFull.fit(defaultMatrix, sparse, 40);
+  EXPECT_EQ(util::toHex64(gainsDigest(sparseFull)), "5fc4c10caf71cf01");
 }
 
 }  // namespace

@@ -40,12 +40,14 @@
 # must reconstruct the lifecycles from the log, and macro_serve_load must
 # pass its load assertions and the history gate.
 #
-# Finally, an ASan+UBSan tree runs two focus groups: the zero-copy lexer
+# Finally, an ASan+UBSan tree runs three focus groups: the zero-copy lexer
 # and arena parser (lexer_test, parser_fuzz_test, roundtrip_property_test),
 # whose string_view offsets and arena id arithmetic are exactly what
-# -fsanitize=address,undefined exists to check, and the ML suites
-# (ml_test, matrix_test, golden_test), whose forest-fit kernel is index
-# ranges into one sample buffer and count tables indexed by label.
+# -fsanitize=address,undefined exists to check; the feature records
+# (features_test), whose term bags are offsets into one buffer behind an
+# open-addressing index; and the ML suites (ml_test, matrix_test,
+# golden_test), whose forest-fit kernel is index ranges into one sample
+# buffer and count tables indexed by label.
 #
 # Usage: tools/ci.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -603,20 +605,23 @@ SCA_THREADS="${SCA_TSAN_THREADS:-4}" \
 SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
   run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
 
-# ASan+UBSan focused pass over two groups. The zero-copy lexer and the
+# ASan+UBSan focused pass over three groups. The zero-copy lexer and the
 # arena parser: every token is a string_view into a shared buffer and every
 # AST node an index into a pooled arena, so out-of-bounds views, misaligned
 # access and overflowing offset arithmetic are the realistic failure modes
 # — and the fuzz/property suites are the inputs most likely to provoke
-# them. The ML suites: the forest-fit kernel partitions [begin, end) ranges
-# of one sample buffer and indexes count tables by label and threshold,
-# and the golden forest-structure test drives it through owned, view and
-# matrix-backed storage. The binaries run directly (not via ctest) because
-# only these six targets are built in this tree.
+# them. The feature records: each term bag stores its terms as offsets
+# into one buffer, found through an open-addressing slot table, and the
+# selector indexes flat class-by-column count tables. The ML suites: the
+# forest-fit kernel partitions [begin, end) ranges of one sample buffer
+# and indexes count tables by label and threshold, and the golden tests
+# drive it through owned, view and matrix-backed storage and pin the
+# feature matrix. The binaries run directly (not via ctest) because only
+# these seven targets are built in this tree.
 ubsan_focus() {
   local tests="lexer_test parser_fuzz_test roundtrip_property_test"
-  tests+=" ml_test matrix_test golden_test"
-  echo "=== configure build-asan-ubsan (lexer/parser and ML focus) ==="
+  tests+=" features_test ml_test matrix_test golden_test"
+  echo "=== configure build-asan-ubsan (lexer/parser, features and ML focus) ==="
   cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCA_SANITIZE=address+undefined
   echo "=== build build-asan-ubsan ==="
