@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -15,8 +18,8 @@ namespace sca::ml {
 namespace {
 
 /// One Gini term: the squared proportion of `count` in `total`.
-double square(std::size_t count, std::size_t total) {
-  const double p = static_cast<double>(count) / static_cast<double>(total);
+double square(double count, double total) {
+  const double p = count / total;
   return p * p;
 }
 
@@ -27,6 +30,27 @@ constexpr std::size_t kGroup = 8;
 
 std::size_t wholeGroups(std::size_t thresholds) {
   return (thresholds + kGroup - 1) / kGroup * kGroup;
+}
+
+// Two doubles in one 16-byte register: GCC's and Clang's vector extension.
+// At the x86-64 (SSE2) baseline, every plain C++ form of the threshold
+// count compiles to one scalar compare per threshold; this form compiles
+// to packed compares, two thresholds each.
+using Pair = double __attribute__((vector_size(16)));
+using PairBits = std::int64_t __attribute__((vector_size(16)));
+
+/// Adds 1.0 to each lane of `tally` where x <= t; x holds one value twice.
+void countLanes(Pair& tally, Pair x, Pair t) {
+  const PairBits one = std::bit_cast<PairBits>(Pair{1.0, 1.0});
+  tally += std::bit_cast<Pair>(std::bit_cast<PairBits>(x <= t) & one);
+}
+
+/// Adds `pair` to the two doubles at `at`, which need not be aligned.
+void addPair(double* at, Pair pair) {
+  Pair sum;
+  std::memcpy(&sum, at, sizeof sum);
+  sum += pair;
+  std::memcpy(at, &sum, sizeof sum);
 }
 
 struct SplitCandidate {
@@ -40,6 +64,7 @@ struct SplitCandidate {
 /// index buffer holding the bootstrap; splitting a node partitions its
 /// range stably, left side first, so every node keeps its samples in
 /// bootstrap (ascending) order. All scratch is sized once per tree.
+/// Counts are held as doubles, which are exact below 2^53.
 ///
 /// Every Gini sum runs over the node's present classes only, in ascending
 /// class order: an absent class would add exactly +0.0 to a sum of
@@ -53,7 +78,7 @@ class NodeKernel {
         config_(config),
         samples_(samples),
         labels_(samples.size()),
-        counts_(classCount, 0),
+        counts_(classCount, 0.0),
         left_(std::max<std::size_t>(
                   1, wholeGroups(config.thresholdsPerFeature)) *
               classCount),
@@ -69,23 +94,28 @@ class NodeKernel {
   }
 
   /// Makes [begin, end) the current node: gathers its labels, counts its
-  /// classes and lists the present ones in ascending order. Returns the
-  /// node's Gini impurity.
+  /// classes, lists the present ones in ascending order and records its
+  /// class runs. Returns the node's Gini impurity.
   double load(std::size_t begin, std::size_t end) {
-    for (const int c : present_) counts_[static_cast<std::size_t>(c)] = 0;
+    for (const int c : present_) counts_[static_cast<std::size_t>(c)] = 0.0;
     present_.clear();
+    runs_.clear();
     begin_ = begin;
     size_ = end - begin;
     for (std::size_t j = 0; j < size_; ++j) {
       const int y = data_.y[samples_[begin + j]];
       labels_[j] = y;
-      std::size_t& count = counts_[static_cast<std::size_t>(y)];
-      if (count++ == 0) present_.push_back(y);
+      double& count = counts_[static_cast<std::size_t>(y)];
+      if (count == 0.0) present_.push_back(y);
+      count += 1.0;
+      if (j > 0 && labels_[j - 1] != y) runs_.push_back({j, labels_[j - 1]});
     }
+    if (size_ > 0) runs_.push_back({size_, labels_[size_ - 1]});
     std::sort(present_.begin(), present_.end());
     double sumSquares = 0.0;
     for (const int c : present_) {
-      sumSquares += square(counts_[static_cast<std::size_t>(c)], size_);
+      sumSquares += square(counts_[static_cast<std::size_t>(c)],
+                           static_cast<double>(size_));
     }
     return 1.0 - sumSquares;
   }
@@ -93,7 +123,7 @@ class NodeKernel {
   /// The first most frequent class of the current node.
   [[nodiscard]] int majority() const {
     int best = 0;
-    std::size_t bestCount = 0;
+    double bestCount = 0.0;
     for (const int c : present_) {
       if (counts_[static_cast<std::size_t>(c)] > bestCount) {
         bestCount = counts_[static_cast<std::size_t>(c)];
@@ -145,6 +175,12 @@ class NodeKernel {
   }
 
  private:
+  /// Consecutive samples of one class: [previous run's end, end).
+  struct Run {
+    std::size_t end;
+    int label;
+  };
+
   /// Copies the current node's values of the (at most mtry) drawn
   /// features into block_, one column each, reading each sample's row
   /// once, and takes each column's min and max in sample order.
@@ -164,9 +200,10 @@ class NodeKernel {
   }
 
   /// Randomized mode (Extra-Trees): T thresholds uniform in [lo, hi),
-  /// all T left histograms counted in one pass over the column, one class
-  /// run at a time. A node lists its samples in row order and the corpora
-  /// list each author's rows together, so a class is usually one run.
+  /// their left histograms counted kGroup thresholds (four Pairs) per
+  /// pass over the column, one class run at a time. A node lists its
+  /// samples in row order and the corpora list each author's rows
+  /// together, so a class is usually one run.
   void countThresholds(const double* column, double lo, double hi,
                        util::Rng& rng, int feature, std::size_t slot,
                        SplitCandidate& best) {
@@ -176,27 +213,34 @@ class NodeKernel {
       thresholds_[k] = rng.uniformReal(lo, hi);
     }
     for (const int c : present_) {
-      std::fill_n(&left_[static_cast<std::size_t>(c) * stride], stride, 0);
+      std::fill_n(&left_[static_cast<std::size_t>(c) * stride], stride, 0.0);
     }
-    std::fill(leftTotals_.begin(), leftTotals_.end(), 0);
-    for (std::size_t j = 0; j < size_;) {
-      const int y = labels_[j];
-      std::size_t end = j + 1;
-      while (end < size_ && labels_[end] == y) ++end;
-      std::size_t* cell = &left_[static_cast<std::size_t>(y) * stride];
-      for (std::size_t g = 0; g < stride; g += kGroup) {
-        std::array<std::size_t, kGroup> run{};
-        for (std::size_t i = j; i < end; ++i) {
-          for (std::size_t k = 0; k < kGroup; ++k) {
-            run[k] += column[i] <= thresholds_[g + k] ? 1 : 0;
-          }
+    std::fill(leftTotals_.begin(), leftTotals_.end(), 0.0);
+    for (std::size_t g = 0; g < stride; g += kGroup) {
+      const Pair t0 = {thresholds_[g], thresholds_[g + 1]};
+      const Pair t1 = {thresholds_[g + 2], thresholds_[g + 3]};
+      const Pair t2 = {thresholds_[g + 4], thresholds_[g + 5]};
+      const Pair t3 = {thresholds_[g + 6], thresholds_[g + 7]};
+      std::size_t i = 0;
+      for (const Run& run : runs_) {
+        Pair n0{}, n1{}, n2{}, n3{};
+        for (; i < run.end; ++i) {
+          const Pair x = {column[i], column[i]};
+          countLanes(n0, x, t0);
+          countLanes(n1, x, t1);
+          countLanes(n2, x, t2);
+          countLanes(n3, x, t3);
         }
-        for (std::size_t k = 0; k < kGroup; ++k) {
-          cell[g + k] += run[k];
-          leftTotals_[g + k] += run[k];
-        }
+        double* cell = &left_[static_cast<std::size_t>(run.label) * stride + g];
+        addPair(cell, n0);
+        addPair(cell + 2, n1);
+        addPair(cell + 4, n2);
+        addPair(cell + 6, n3);
+        addPair(&leftTotals_[g], n0);
+        addPair(&leftTotals_[g + 2], n1);
+        addPair(&leftTotals_[g + 4], n2);
+        addPair(&leftTotals_[g + 6], n3);
       }
-      j = end;
     }
     for (std::size_t g = 0; g < t; g += kGroup) {
       score<kGroup>(&left_[g], stride, &leftTotals_[g], &thresholds_[g],
@@ -215,7 +259,7 @@ class NodeKernel {
     const auto end = sorted_.begin() + static_cast<std::ptrdiff_t>(size_);
     std::sort(sorted_.begin(), end,
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const int c : present_) left_[static_cast<std::size_t>(c)] = 0;
+    for (const int c : present_) left_[static_cast<std::size_t>(c)] = 0.0;
     std::size_t leftTotal = 0;
     double previous = sorted_[0].first;  // first value of the last run
     for (std::size_t q = 1; q < size_; ++q) {
@@ -224,9 +268,10 @@ class NodeKernel {
       previous = sorted_[q].first;
       for (; leftTotal < size_ && sorted_[leftTotal].first <= threshold;
            ++leftTotal) {
-        ++left_[static_cast<std::size_t>(sorted_[leftTotal].second)];
+        left_[static_cast<std::size_t>(sorted_[leftTotal].second)] += 1.0;
       }
-      score<1>(left_.data(), 1, &leftTotal, &threshold, 1, feature, slot,
+      const auto leftSize = static_cast<double>(leftTotal);
+      score<1>(left_.data(), 1, &leftSize, &threshold, 1, feature, slot,
                best);
     }
   }
@@ -237,41 +282,38 @@ class NodeKernel {
   /// at left[c * stride + k]. The 2 * kWidth sums of squares run as
   /// independent chains, each adding its terms in ascending class order.
   template <std::size_t kWidth>
-  void score(const std::size_t* left, std::size_t stride,
-             const std::size_t* leftTotals, const double* thresholds,
+  void score(const double* left, std::size_t stride,
+             const double* leftTotals, const double* thresholds,
              std::size_t count, int feature, std::size_t slot,
              SplitCandidate& best) {
+    const double total = static_cast<double>(size_);
     // A side with no samples has Gini 0 and its sum goes unused; dividing
     // by 1 there keeps every term finite.
-    std::array<std::size_t, kWidth> leftSide{};
-    std::array<std::size_t, kWidth> rightSide{};
+    std::array<double, kWidth> leftSide{};
+    std::array<double, kWidth> rightSide{};
     for (std::size_t k = 0; k < kWidth; ++k) {
-      leftSide[k] = std::max<std::size_t>(leftTotals[k], 1);
-      rightSide[k] = std::max<std::size_t>(size_ - leftTotals[k], 1);
+      leftSide[k] = std::max(leftTotals[k], 1.0);
+      rightSide[k] = std::max(total - leftTotals[k], 1.0);
     }
     std::array<double, kWidth> leftSums{};
     std::array<double, kWidth> rightSums{};
     for (const int c : present_) {
-      const std::size_t* cell = &left[static_cast<std::size_t>(c) * stride];
-      const std::size_t all = counts_[static_cast<std::size_t>(c)];
+      const double* cell = &left[static_cast<std::size_t>(c) * stride];
+      const double all = counts_[static_cast<std::size_t>(c)];
       for (std::size_t k = 0; k < kWidth; ++k) {
         leftSums[k] += square(cell[k], leftSide[k]);
         rightSums[k] += square(all - cell[k], rightSide[k]);
       }
     }
-    const double total = static_cast<double>(size_);
+    const auto minLeaf = static_cast<double>(config_.minSamplesLeaf);
     for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t leftTotal = leftTotals[k];
-      const std::size_t rightTotal = size_ - leftTotal;
-      if (leftTotal < config_.minSamplesLeaf ||
-          rightTotal < config_.minSamplesLeaf) {
-        continue;
-      }
-      const double leftGini = leftTotal == 0 ? 0.0 : 1.0 - leftSums[k];
-      const double rightGini = rightTotal == 0 ? 0.0 : 1.0 - rightSums[k];
+      const double leftTotal = leftTotals[k];
+      const double rightTotal = total - leftTotal;
+      if (leftTotal < minLeaf || rightTotal < minLeaf) continue;
+      const double leftGini = leftTotal == 0.0 ? 0.0 : 1.0 - leftSums[k];
+      const double rightGini = rightTotal == 0.0 ? 0.0 : 1.0 - rightSums[k];
       const double weighted =
-          (static_cast<double>(leftTotal) / total) * leftGini +
-          (static_cast<double>(rightTotal) / total) * rightGini;
+          (leftTotal / total) * leftGini + (rightTotal / total) * rightGini;
       if (weighted < best.impurity) {
         best.impurity = weighted;
         best.feature = feature;
@@ -287,10 +329,11 @@ class NodeKernel {
   std::size_t begin_ = 0;             // current node: samples_[begin_, +size_)
   std::size_t size_ = 0;
   std::vector<int> labels_;           // its labels, in sample order
-  std::vector<std::size_t> counts_;   // its class counts
+  std::vector<Run> runs_;             // its class runs, in sample order
+  std::vector<double> counts_;        // its class counts
   std::vector<int> present_;          // its classes with a count, ascending
-  std::vector<std::size_t> left_;     // left counts, class-major
-  std::vector<std::size_t> leftTotals_;
+  std::vector<double> left_;          // left counts, class-major
+  std::vector<double> leftTotals_;    // left sizes, one per threshold
   std::vector<double> thresholds_;    // T, padded to whole groups
   std::vector<double> block_;         // drawn features' columns, mtry x size_
   std::vector<double> lo_;
@@ -311,7 +354,13 @@ void DecisionTree::fit(const Dataset& data,
     nodes_.push_back(Node{-1, 0.0, -1, -1, 0, 0});
     return;
   }
+  const std::size_t rows = data.size();
   for (const std::size_t i : sampleIndices) {
+    if (i >= rows) {
+      throw std::invalid_argument(
+          "decision tree: sample index " + std::to_string(i) +
+          " outside a dataset of " + std::to_string(rows) + " rows");
+    }
     if (data.y[i] < 0 || data.y[i] >= classCount) {
       throw std::invalid_argument(
           "decision tree: label " + std::to_string(data.y[i]) +
@@ -431,7 +480,9 @@ DecisionTree DecisionTree::load(std::istream& is, int classCount,
     Node node;
     if (!(is >> node.featureIndex >> node.threshold >> node.left >>
           node.right >> node.label >> node.depth)) {
-      throw std::runtime_error("model load: truncated tree node list");
+      throw std::runtime_error("model load: truncated tree node list at node " +
+                               std::to_string(i) + " of " +
+                               std::to_string(count));
     }
     const bool valid =
         node.featureIndex < 0

@@ -3,10 +3,10 @@
 // Two split modes: exact (sorted sweep over midpoints, as in classic CART)
 // and randomized thresholds (Extra-Trees style), which with bagging on top
 // is statistically indistinguishable for these experiments and faster: in
-// bench/ablation_forest (204 authors, 4 threads, feature extraction
-// included) 120 randomized trees train in 0.33 s against 0.42 s for exact
-// CART, at 97.1% against 97.5% accuracy. The forest defaults to the
-// randomized mode.
+// bench/ablation_forest (204 authors, 4 threads on a 4-core x86-64 box,
+// feature extraction included) 120 randomized trees train in 0.10 s
+// against 0.25 s for exact CART (medians of five runs), at 97.1% against
+// 97.5% accuracy. The forest defaults to the randomized mode.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,9 @@ struct TreeConfig {
 class DecisionTree {
  public:
   /// Fits on `data` restricted to `sampleIndices` (with repetitions — the
-  /// forest passes bootstrap samples). `classCount` fixes the label range;
-  /// a sampled label outside [0, classCount) throws std::invalid_argument.
+  /// forest passes bootstrap samples). `classCount` fixes the label range.
+  /// Throws std::invalid_argument on a sampled label outside
+  /// [0, classCount) or a sample index past the dataset's last row.
   void fit(const Dataset& data, const std::vector<std::size_t>& sampleIndices,
            int classCount, const TreeConfig& config, util::Rng rng);
 

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "ml/matrix.hpp"
 #include "obs/metrics.hpp"
@@ -88,7 +89,14 @@ RandomForest RandomForest::load(std::istream& is, std::size_t featureCount) {
   RandomForest forest;
   forest.classCount_ = classCount;
   for (std::size_t t = 0; t < treeCount; ++t) {
-    forest.trees_.push_back(DecisionTree::load(is, classCount, featureCount));
+    try {
+      forest.trees_.push_back(
+          DecisionTree::load(is, classCount, featureCount));
+    } catch (const std::runtime_error& error) {
+      throw std::runtime_error(std::string(error.what()) + " (tree " +
+                               std::to_string(t) + " of " +
+                               std::to_string(treeCount) + ")");
+    }
   }
   return forest;
 }

@@ -62,7 +62,8 @@ class RandomForest {
   /// Text (de)serialization of a trained forest (trees + class count; the
   /// training hyperparameters are not needed for prediction). load()
   /// requires a positive class count and checks every tree against it and
-  /// against `featureCount` (DecisionTree::load).
+  /// against `featureCount` (DecisionTree::load); a tree's error names the
+  /// tree's index.
   void save(std::ostream& os) const;
   static RandomForest load(
       std::istream& is,

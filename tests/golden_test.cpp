@@ -12,8 +12,10 @@
 //     SCA_STEPS=4 SCA_TREES=20, one digest per table over every value the
 //     table prints.
 //   * The fitted forest itself: the saved text of forests fitted in each
-//     split mode from owned rows, an index view and a matrix-backed view.
-//     Two forests can score the same accuracy; only this pins the trees.
+//     split mode from owned rows, an index view and a matrix-backed view,
+//     and of tie-heavy forests whose split searches are decided by exact
+//     ties and last-bit rounding. Two forests can score the same
+//     accuracy; only this pins the trees.
 //   * The feature matrix: fitted vocabularies and every transformed bit
 //     over a small year slice plus edge sources, under each family switch
 //     and a narrow vocabulary, and the selector's information gains.
@@ -205,6 +207,38 @@ ml::Dataset forestEdgeCases() {
   return data;
 }
 
+/// 240 classes of 1-3 rows each, listed round-robin (every class's first
+/// row, then every second row, then every third), so a node holds each
+/// class as several runs. Every fifth class repeats its first row, and
+/// most columns take few levels: a flag, its copy and its complement, the
+/// class id mod 7, and a three-level count. Many candidates therefore tie
+/// in exact impurity, within a column and across columns. Two continuous
+/// columns keep the trees growing.
+ml::Dataset forestTies() {
+  util::Rng rng(17);
+  std::vector<std::vector<std::vector<double>>> byClass(240);
+  for (std::size_t label = 0; label < byClass.size(); ++label) {
+    for (std::size_t r = 0; r < 1 + label % 3; ++r) {
+      const double flag = rng.bernoulli(0.5) ? 1.0 : 0.0;
+      byClass[label].push_back(
+          {flag, flag, 1.0 - flag, static_cast<double>(label % 7),
+           static_cast<double>(rng.uniformInt(0, 2)),
+           0.01 * static_cast<double>(label) + rng.normal(0.0, 1.0),
+           rng.normal(0.0, 1.0)});
+    }
+    if (label % 5 == 0) byClass[label].push_back(byClass[label][0]);
+  }
+  ml::Dataset data;
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t label = 0; label < byClass.size(); ++label) {
+      if (r >= byClass[label].size()) continue;
+      data.x.push_back(byClass[label][r]);
+      data.y.push_back(static_cast<int>(label));
+    }
+  }
+  return data;
+}
+
 std::string forestDigest(const ml::Dataset& data,
                          const ml::ForestConfig& config) {
   ml::RandomForest forest(config);
@@ -261,6 +295,37 @@ TEST(Golden, ForestFitMatchesPinnedStructure) {
         << name << " matrix";
   }
   std::filesystem::remove(path);
+
+  // Tie-heavy forests: one threshold per feature, twelve (two groups of
+  // eight, the second padded), no leaf minimum (a side may be empty),
+  // every feature examined at each split, and exact mode with no leaf
+  // minimum.
+  const ml::Dataset ties = forestTies();
+  ml::ForestConfig one = randomized;
+  one.tree.thresholdsPerFeature = 1;
+  ml::ForestConfig twelve = randomized;
+  twelve.tree.thresholdsPerFeature = 12;
+  ml::ForestConfig emptySide = randomized;
+  emptySide.tree.minSamplesLeaf = 0;
+  ml::ForestConfig everyFeature = randomized;
+  everyFeature.tree.featuresPerSplit = ties.dimension();
+  ml::ForestConfig exactEmptySide = exact;
+  exactEmptySide.tree.minSamplesLeaf = 0;
+  const std::array<std::pair<const char*, ml::ForestConfig>, 5> tieModes = {
+      {{"ties T=1", one},
+       {"ties T=12", twelve},
+       {"ties leaf 0", emptySide},
+       {"ties every feature", everyFeature},
+       {"ties exact leaf 0", exactEmptySide}}};
+  // Recorded with the scalar integer threshold count, before the two-lane
+  // double count replaced it.
+  const std::array<const char*, 5> tieExpected = {
+      "51cf41caf48dc916", "628015cef1fd82f6", "ca687abec799cd72",
+      "3f0b5bc8981156d3", "34cc0f2d0cbe7e4c"};
+  for (std::size_t m = 0; m < tieModes.size(); ++m) {
+    const auto& [name, config] = tieModes[m];
+    EXPECT_EQ(forestDigest(ties, config), tieExpected[m]) << name;
+  }
 }
 
 /// One small year slice plus sources at the edges of a feature record:

@@ -85,9 +85,14 @@ TEST(DecisionTree, FitsSeparableDataPerfectly) {
   EXPECT_GT(tree.leafCount(), 1u);
 
   // Fails closed on input that does not match the fit: a label past
-  // `classCount`, and a row narrower than the widest split feature.
+  // `classCount`, a sample index past the dataset's last row, and a row
+  // narrower than the widest split feature.
   DecisionTree narrow;
   EXPECT_THROW(narrow.fit(data, all, 2, TreeConfig{}, util::Rng(1)),
+               std::invalid_argument);
+  std::vector<std::size_t> pastEnd = all;
+  pastEnd.push_back(data.size());
+  EXPECT_THROW(narrow.fit(data, pastEnd, 3, TreeConfig{}, util::Rng(1)),
                std::invalid_argument);
   const Dataset wide = blobs3(30, 4);
   DecisionTree wideTree;
@@ -269,11 +274,23 @@ TEST(DecisionTree, SaveLoadRoundTrip) {
   }
 }
 
+/// The message `load` throws, or "" when it returns.
+template <typename Load>
+std::string loadError(const Load& load) {
+  try {
+    load();
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(DecisionTree, LoadRejectsGarbage) {
   std::stringstream bad("nonsense 3");
   EXPECT_THROW(DecisionTree::load(bad, 2, 2), std::runtime_error);
-  std::stringstream truncated("tree 2\n1 0.5 1 2 -1 0\n");
-  EXPECT_THROW(DecisionTree::load(truncated, 2, 2), std::runtime_error);
+  std::stringstream truncated("tree 3\n1 0.5 1 2 -1 0\n-1 0 -1 -1 0 1\n");
+  EXPECT_EQ(loadError([&] { (void)DecisionTree::load(truncated, 2, 2); }),
+            "model load: truncated tree node list at node 2 of 3");
 
   // Structure: a split on feature 0 with two leaves loads and predicts...
   const std::string leaves = "-1 0 -1 -1 0 1\n-1 0 -1 -1 1 1\n";
@@ -301,13 +318,23 @@ TEST(DecisionTree, LoadRejectsGarbage) {
   rejects("tree 1\n-1 0 -1 -1 -3 0\n");
   rejects("tree 3\n0 0.5 1 2 -1 0\n" + leaves, 1);
   rejects("tree 3\n0 0.5 1 2 -1 0\n" + leaves, 2, 0);
+  // A child exactly one past the last node.
+  std::stringstream pastLast("tree 2\n0 0.5 1 2 -1 0\n-1 0 -1 -1 0 1\n");
+  EXPECT_EQ(loadError([&] { (void)DecisionTree::load(pastLast, 2, 1); }),
+            "model load: invalid tree node 0");
 
-  // The forest requires a positive class count and checks its trees'
-  // leaf labels against it.
+  // The forest requires a positive class count, checks its trees' leaf
+  // labels against it, and names the tree that broke.
   std::stringstream noClasses("forest 0 1\ntree 1\n-1 0 -1 -1 0 0\n");
   EXPECT_THROW(RandomForest::load(noClasses), std::runtime_error);
-  std::stringstream labelPastClasses("forest 2 1\ntree 1\n-1 0 -1 -1 2 0\n");
-  EXPECT_THROW(RandomForest::load(labelPastClasses), std::runtime_error);
+  const std::string leaf = "tree 1\n-1 0 -1 -1 0 0\n";
+  std::stringstream labelPastClasses("forest 2 2\n" + leaf +
+                                     "tree 1\n-1 0 -1 -1 2 0\n");
+  EXPECT_EQ(loadError([&] { (void)RandomForest::load(labelPastClasses); }),
+            "model load: invalid tree node 0 (tree 1 of 2)");
+  std::stringstream missingTree("forest 2 3\n" + leaf + leaf);
+  EXPECT_EQ(loadError([&] { (void)RandomForest::load(missingTree); }),
+            "model load: bad tree header (tree 2 of 3)");
 }
 
 TEST(RandomForest, SaveLoadKeepsPredictions) {

@@ -14,6 +14,13 @@
 # Serve, Shard, Runtime) run 20 times in a row, so a test that fails one
 # run in N shows up here rather than as a flaky tier-1 run.
 #
+# A benchmark-scale correctness smoke then runs the repository benchmark's
+# traced attribution and binary passes (perfbench/run.py --trace 1, seeds 1
+# and 7). A traced pass replays every fold from the layers' public calls and
+# compares the folds' results with perfbench/reference.txt, which pins the
+# 205-class, 30-tree fold outputs that tier-1's scaled goldens do not
+# reach; each run must report "correct": true and no failed operation.
+#
 # An observability smoke then runs the deterministic one-shot pipeline
 # (SCA_PIPELINE_ONCE) at 1 and 8 threads with tracing and fault injection
 # on, validates the emitted manifest and Chrome trace with sca_cli (which
@@ -69,6 +76,25 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release
 echo "=== repeat concurrency suites (build-release) ==="
 ctest --test-dir build-release --output-on-failure -j "$JOBS" \
   --repeat until-fail:20 -R 'Obs|Flight|Serve|Shard|Runtime'
+
+bench_smoke() {
+  echo "=== benchmark correctness smoke ==="
+  local workload seed result
+  for workload in attribution binary; do
+    for seed in 1 7; do
+      result=$(python3 perfbench/run.py --workload "$workload" \
+                 --seed "$seed" --seconds 1 --trace 1 | tail -n 1)
+      python3 -c '
+import json, sys
+result = json.loads(sys.argv[1])
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+' "$result" ||
+        { echo "benchmark smoke: $workload seed $seed: $result" >&2; exit 1; }
+    done
+  done
+  echo "=== benchmark correctness smoke ok ==="
+}
+bench_smoke
 
 obs_smoke() {
   echo "=== observability smoke (build-release) ==="
