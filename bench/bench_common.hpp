@@ -1,9 +1,9 @@
-// Shared helpers for the table-regeneration benches.
+// Shared helpers for the benches (paper_sweep, macro_*, micro_*).
 //
-// Every bench prints the same row/column structure as the corresponding
-// table in the paper and mirrors it into bench_out/<name>.csv so results
-// can be diffed across runs. CSVs go through util::atomicWriteFile (temp
-// file + rename), so a killed bench never leaves a torn CSV behind.
+// A bench prints each table in the paper's row/column structure and
+// mirrors it into bench_out/<name>.csv so results can be diffed across
+// runs. CSVs go through util::atomicWriteFile (temp file + rename), so a
+// killed bench never leaves a torn CSV behind.
 //
 // Each bench main also holds a Session, which keeps the run's one
 // performance record. On exit it writes the versioned run manifest
@@ -128,14 +128,20 @@ class Session {
   bool complete_ = false;
 };
 
-/// Prints the table and atomically writes its CSV next to the binary.
-inline void emit(const util::TablePrinter& table, const std::string& name) {
+/// Prints the table and atomically writes its CSV next to the binary. A
+/// failed write is reported on stderr and returns false: the caller ends
+/// the run nonzero before complete(), so its manifest says partial.
+[[nodiscard]] inline bool emit(const util::TablePrinter& table,
+                               const std::string& name) {
   table.print(std::cout);
   const std::string path = "bench_out/" + name + ".csv";
-  if (util::atomicWriteFile(path, table.toCsv()).isOk()) {
-    std::cout << "[csv] " << path << "\n";
+  if (const util::Status s = util::atomicWriteFile(path, table.toCsv());
+      !s.isOk()) {
+    std::cerr << "[csv] " << path << " write failed: " << s.toString() << "\n";
+    return false;
   }
-  std::cout << "\n";
+  std::cout << "[csv] " << path << "\n\n";
+  return true;
 }
 
 /// "93.1"-style percentage cell.

@@ -257,7 +257,7 @@ int main() {
                 rssCheckActive ? bench::mark(rssBoundOk) : "skipped"});
   table.addRow({"control_rows", std::to_string(controlIdx.size())});
   table.addRow({"control_identical", bench::mark(controlMismatches == 0)});
-  bench::emit(table, "macro_scale");
+  if (!bench::emit(table, "macro_scale")) return 1;
 
   if (controlMismatches != 0) {
     std::cerr << "macro_scale: FAIL: " << controlMismatches << "/"

@@ -309,7 +309,7 @@ int main() {
   addRow("healthy", healthy);
   addRow("chaos", chaos);
   addRow("overload", overload);
-  bench::emit(table, "macro_serve");
+  if (!bench::emit(table, "macro_serve")) return 1;
 
   bool ok = true;
   const std::size_t total = static_cast<std::size_t>(kChains) * kTurns;

@@ -279,7 +279,7 @@ int main() {
   addRow("repeat", repeat, 0.0);
   addRow("echo", echo, 0.0);
   addRow("surge", surge, 0.0);
-  bench::emit(table, "macro_serve_load");
+  if (!bench::emit(table, "macro_serve_load")) return 1;
 
   bool ok = true;
 

@@ -1,9 +1,12 @@
 #include "core/experiments.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "ml/metrics.hpp"
 #include "obs/log.hpp"
@@ -16,8 +19,14 @@ namespace {
 std::size_t envSize(const char* name, std::size_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  const long parsed = std::strtol(raw, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+  const char* end = raw + std::strlen(raw);
+  std::size_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(raw, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed == 0) {
+    throw std::invalid_argument(std::string(name) + "=" + raw +
+                                ": expected a positive integer");
+  }
+  return parsed;
 }
 
 std::size_t settingIndex(llm::Setting setting) {

@@ -34,14 +34,15 @@ struct ExperimentConfig {
   std::size_t binarySelectTopK = 40;
 
   /// Defaults scaled down by environment variables for quick runs:
-  /// SCA_AUTHORS, SCA_STEPS, SCA_TREES, SCA_TOPK, SCA_SET.
+  /// SCA_AUTHORS, SCA_STEPS, SCA_TREES, SCA_TOPK, SCA_SET. Each must be a
+  /// positive integer when set and non-empty; anything else throws
+  /// std::invalid_argument naming the variable and its value.
   [[nodiscard]] static ExperimentConfig fromEnv();
 };
 
 class YearExperiment {
  public:
-  explicit YearExperiment(int year,
-                          ExperimentConfig config = ExperimentConfig::fromEnv());
+  explicit YearExperiment(int year, ExperimentConfig config);
 
   [[nodiscard]] int year() const noexcept { return year_; }
   [[nodiscard]] const ExperimentConfig& config() const noexcept {

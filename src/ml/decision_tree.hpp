@@ -3,10 +3,10 @@
 // Two split modes: exact (sorted sweep over midpoints, as in classic CART)
 // and randomized thresholds (Extra-Trees style), which with bagging on top
 // is statistically indistinguishable for these experiments and faster: in
-// bench/ablation_forest (204 authors, 4 threads on a 4-core x86-64 box,
-// feature extraction included) 120 randomized trees train in 0.10 s
-// against 0.25 s for exact CART (medians of five runs), at 97.1% against
-// 97.5% accuracy. The forest defaults to the randomized mode.
+// `paper_sweep ablation_forest` run alone (204 authors, 4 threads on a
+// 4-core x86-64 box, feature extraction included) 120 randomized trees
+// train in 0.10 s against 0.25 s for exact CART (medians of five runs), at
+// 97.1% against 97.5% accuracy. The forest defaults to the randomized mode.
 #pragma once
 
 #include <cstddef>

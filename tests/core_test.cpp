@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -242,15 +245,49 @@ TEST(Grouping, NaiveTakesFirstResponses) {
 }
 
 TEST(ExperimentConfig, EnvOverrides) {
+  // The caller's values are put back at the end, so later tests in this
+  // process see the environment they started with.
+  const char* const names[] = {"SCA_AUTHORS", "SCA_STEPS", "SCA_SET",
+                               "SCA_TREES", "SCA_TOPK"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* name : names) {
+    const char* value = std::getenv(name);
+    saved.push_back(value ? std::optional<std::string>(value) : std::nullopt);
+    ::unsetenv(name);
+  }
+
   ::setenv("SCA_AUTHORS", "33", 1);
   ::setenv("SCA_TREES", "44", 1);
   const ExperimentConfig config = ExperimentConfig::fromEnv();
   EXPECT_EQ(config.authorCount, 33u);
   EXPECT_EQ(config.model.forest.treeCount, 44u);
   ::unsetenv("SCA_AUTHORS");
-  ::unsetenv("SCA_TREES");
+  ::setenv("SCA_TREES", "", 1);  // empty still means unset
   const ExperimentConfig fresh = ExperimentConfig::fromEnv();
   EXPECT_EQ(fresh.authorCount, 204u);
+  EXPECT_EQ(fresh.model.forest.treeCount, ModelConfig{}.forest.treeCount);
+
+  // A malformed value throws, naming the variable and its value.
+  const auto error = []() -> std::string {
+    try {
+      (void)ExperimentConfig::fromEnv();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const char* name : names) {
+    for (const char* bad : {"16x", "abc", "0", "-1", "99999999999999999999"}) {
+      ::setenv(name, bad, 1);
+      EXPECT_NE(error().find(std::string(name) + "=" + bad), std::string::npos)
+          << name << "=" << bad << ": " << error();
+    }
+    ::unsetenv(name);
+  }
+
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i]) ::setenv(names[i], saved[i]->c_str(), 1);
+  }
 }
 
 class YearExperimentTest : public ::testing::Test {

@@ -131,9 +131,9 @@ std::uint64_t attributionDigest(
   return util::combine64(digest, static_cast<std::uint64_t>(r.targetLabel));
 }
 
-// The calls the table04/08/09/10 benches make, with one YearExperiment per
-// year shared across tables (every stage it caches is a pure function of
-// the year and the config). The config is built here, not read from the
+// paper_sweep's table04/08/09/10 calls, with one YearExperiment per year
+// shared across tables (every stage it caches is a pure function of the
+// year and the config). The config is built here, not read from the
 // environment, so a caller's SCA_* variables cannot move the digests.
 TEST(Golden, TablesIvViiiIxXMatchPinnedDigests) {
   core::ExperimentConfig config;

@@ -69,7 +69,7 @@ TEST_F(PipelineTest, FeatureBasedBeatsNaiveOnChatGptRecognition) {
   // naive first-response set. At this reduced scale (24 authors: a single
   // archetype twin, so the competition that sinks the naive set barely
   // exists) we allow one fold of slack; the full-scale relationship is
-  // regenerated by bench/table08+09 and recorded in EXPERIMENTS.md.
+  // regenerated by paper_sweep's table08/09 emitters (EXPERIMENTS.md).
   EXPECT_GE(featureBased.chatgptCorrectPercent + 12.5 + 1e-9,
             naive.chatgptCorrectPercent)
       << "naive " << naive.chatgptCorrectPercent << " vs feature-based "

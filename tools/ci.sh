@@ -28,16 +28,14 @@
 # byte-compares the "[pipeline]" output lines and the stable metrics
 # sections — the thread-count-invariance contract, checked on every PR.
 #
+# A paper-sweep smoke then runs bench/paper_sweep (every table, figure and
+# ablation) at a quick scale at SCA_THREADS=1 and 4: the CSVs and stable
+# metrics must be byte-identical, with one complete manifest per run.
+#
 # A perf-history smoke then proves the regression gate in both directions:
 # identical re-runs of the one-shot pipeline must pass `sca_cli history
 # check`, a slowdown injected via SCA_OBS_TEST_DELAY_MS must trip it, and
 # a tampered stable digest must fail it regardless of timing.
-#
-# A perf-seed smoke then runs the one-shot pipeline against the committed
-# seed baseline (tools/perf/seed_baseline.jsonl): `history check` must pass
-# (which also pins the stable digest), and the best-of-3 analysis phase must
-# be at least 2x faster than the seed median — the zero-copy lexer / arena
-# AST speedup, locked so it cannot silently erode.
 #
 # A serve-telemetry smoke then proves the request-level telemetry is
 # observational: one stream served with telemetry off vs on full logging
@@ -55,6 +53,13 @@
 # open-addressing index; and the ML suites (ml_test, matrix_test,
 # golden_test), whose forest-fit kernel is index ranges into one sample
 # buffer and count tables indexed by label.
+#
+# Last, a perf-seed smoke runs the one-shot pipeline against the committed
+# seed baseline (tools/perf/seed_baseline.jsonl): `history check` must pass
+# (which also pins the stable digest), and the best-of-3 analysis phase must
+# be at least 2x faster than the seed median — the zero-copy lexer / arena
+# AST speedup, locked so it cannot silently erode. It runs last because
+# that speed gate depends on the host.
 #
 # Usage: tools/ci.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -128,6 +133,36 @@ obs_smoke() {
 }
 obs_smoke
 
+# Paper-sweep smoke: the quick-scale sweep whose CSVs tier-1 pins must write
+# byte-identical CSVs (ablation_forest's wall-clock fit-time column cut) and
+# stable metrics at SCA_THREADS=1 and 4, and leave one complete manifest.
+sweep_smoke() {
+  echo "=== paper-sweep smoke (build-release) ==="
+  local dir=build-release/sweep-smoke t file
+  rm -rf "$dir"
+  for t in 1 4; do
+    mkdir -p "$dir/t$t"
+    (cd "$dir/t$t" &&
+     SCA_AUTHORS=16 SCA_STEPS=4 SCA_TREES=20 SCA_SET=3 SCA_TOPK=350 \
+       SCA_THREADS=$t SCA_HISTORY=off SCA_MANIFEST= SCA_CHECKPOINT_DIR= \
+       ../../bench/paper_sweep > sweep.out &&
+     [ "$(ls bench_out/manifest.*)" = bench_out/manifest.paper_sweep.json ] &&
+     grep -q '"status":"complete"' bench_out/manifest.paper_sweep.json &&
+     ../../tools/sca_cli metrics bench_out/manifest.paper_sweep.json \
+       --stable > stable.json &&
+     sed -i 's/,[^,]*$//' bench_out/ablation_forest.csv) ||
+      { echo "sweep smoke: run or manifest check failed (t=$t)" >&2; exit 1; }
+  done
+  [ "$(ls "$dir"/t*/bench_out/*.csv | wc -l)" -eq 30 ] ||
+    { echo "sweep smoke: expected 15 CSVs per run" >&2; exit 1; }
+  for file in "$dir"/t1/bench_out/*.csv "$dir/t1/stable.json"; do
+    cmp "$file" "${file/\/t1\//\/t4\/}" ||
+      { echo "sweep smoke: ${file##*/} differs between threads" >&2; exit 1; }
+  done
+  echo "=== paper-sweep smoke ok ==="
+}
+sweep_smoke
+
 # Perf-history smoke: the regression gate must have both a demonstrated
 # pass and a demonstrated failure, or it gates nothing. Three clean runs
 # build the baseline; `history check` must accept a fourth identical run,
@@ -183,65 +218,6 @@ history_smoke() {
   echo "=== perf-history smoke ok ==="
 }
 history_smoke
-
-# Perf-seed smoke: the committed seed baseline is the pre-rework cost of the
-# analysis phase. `history check` compares the three fresh runs against it
-# (same bench, threads and env class ⇒ same group) and fails on a slowdown
-# or a stable-digest change; the awk gate then enforces the stronger claim
-# the zero-copy rework made — analysis at least 2x faster than the seed
-# median. Best-of-3 vs the seed *median* damps machine noise on both sides.
-perf_seed_smoke() {
-  echo "=== perf-seed smoke (build-release) ==="
-  local dir=build-release/perf-seed-smoke
-  rm -rf "$dir" && mkdir -p "$dir"
-  local hist="$PWD/$dir/history.jsonl"
-  local cli=build-release/tools/sca_cli
-  cp tools/perf/seed_baseline.jsonl "$hist"
-  # The seed records' env class is exactly "SCA_PIPELINE_ONCE=1". Run under
-  # env -i so no stray SCA_* variable from the caller's shell (even one set
-  # to the empty string) can split the fresh records into a different,
-  # never-compared group.
-  local i
-  for i in 1 2 3; do
-    (cd "$dir" &&
-     env -i PATH="$PATH" HOME="$HOME" \
-       SCA_PIPELINE_ONCE=1 SCA_THREADS=1 SCA_HISTORY="$hist" \
-       SCA_MANIFEST="manifest_$i.json" \
-       ../bench/micro_pipeline > /dev/null)
-  done
-  "$cli" history check "$hist" ||
-    { echo "history check failed against the seed baseline" >&2; exit 1; }
-  awk '
-    match($0, /"analysis":[0-9.eE+-]+/) {
-      v = substr($0, RSTART + 11, RLENGTH - 11) + 0
-      a[++n] = v
-    }
-    END {
-      if (n != 6) {
-        print "perf-seed smoke: expected 6 analysis records, got " n
-        exit 1
-      }
-      # Median of the three seed records = sum minus min minus max.
-      lo = a[1]; hi = a[1]
-      for (i = 2; i <= 3; i++) {
-        if (a[i] < lo) lo = a[i]
-        if (a[i] > hi) hi = a[i]
-      }
-      med = a[1] + a[2] + a[3] - lo - hi
-      best = a[4]
-      for (i = 5; i <= 6; i++) if (a[i] < best) best = a[i]
-      printf "seed median %.6fs, best new %.6fs, speedup %.2fx\n", \
-             med, best, med / best
-      if (best * 2 > med) {
-        print "perf-seed smoke: analysis phase no longer >= 2x faster " \
-              "than the seed baseline"
-        exit 1
-      }
-    }
-  ' "$hist" || exit 1
-  echo "=== perf-seed smoke ok ==="
-}
-perf_seed_smoke
 
 # Serve-chaos smoke: the sharded serving stack's hard invariant is that a
 # chaos schedule (mid-run slow + kill, per-attempt fault injection) changes
@@ -661,5 +637,64 @@ ubsan_focus() {
   done
 }
 ubsan_focus
+
+# Perf-seed smoke: the committed seed baseline is the pre-rework cost of the
+# analysis phase. `history check` compares the three fresh runs against it
+# (same bench, threads and env class ⇒ same group) and fails on a slowdown
+# or a stable-digest change; the awk gate then enforces the stronger claim
+# the zero-copy rework made — analysis at least 2x faster than the seed
+# median. Best-of-3 vs the seed *median* damps machine noise on both sides.
+perf_seed_smoke() {
+  echo "=== perf-seed smoke (build-release) ==="
+  local dir=build-release/perf-seed-smoke
+  rm -rf "$dir" && mkdir -p "$dir"
+  local hist="$PWD/$dir/history.jsonl"
+  local cli=build-release/tools/sca_cli
+  cp tools/perf/seed_baseline.jsonl "$hist"
+  # The seed records' env class is exactly "SCA_PIPELINE_ONCE=1". Run under
+  # env -i so no stray SCA_* variable from the caller's shell (even one set
+  # to the empty string) can split the fresh records into a different,
+  # never-compared group.
+  local i
+  for i in 1 2 3; do
+    (cd "$dir" &&
+     env -i PATH="$PATH" HOME="$HOME" \
+       SCA_PIPELINE_ONCE=1 SCA_THREADS=1 SCA_HISTORY="$hist" \
+       SCA_MANIFEST="manifest_$i.json" \
+       ../bench/micro_pipeline > /dev/null)
+  done
+  "$cli" history check "$hist" ||
+    { echo "history check failed against the seed baseline" >&2; exit 1; }
+  awk '
+    match($0, /"analysis":[0-9.eE+-]+/) {
+      v = substr($0, RSTART + 11, RLENGTH - 11) + 0
+      a[++n] = v
+    }
+    END {
+      if (n != 6) {
+        print "perf-seed smoke: expected 6 analysis records, got " n
+        exit 1
+      }
+      # Median of the three seed records = sum minus min minus max.
+      lo = a[1]; hi = a[1]
+      for (i = 2; i <= 3; i++) {
+        if (a[i] < lo) lo = a[i]
+        if (a[i] > hi) hi = a[i]
+      }
+      med = a[1] + a[2] + a[3] - lo - hi
+      best = a[4]
+      for (i = 5; i <= 6; i++) if (a[i] < best) best = a[i]
+      printf "seed median %.6fs, best new %.6fs, speedup %.2fx\n", \
+             med, best, med / best
+      if (best * 2 > med) {
+        print "perf-seed smoke: analysis phase no longer >= 2x faster " \
+              "than the seed baseline"
+        exit 1
+      }
+    }
+  ' "$hist" || exit 1
+  echo "=== perf-seed smoke ok ==="
+}
+perf_seed_smoke
 
 echo "=== ci ok ==="
