@@ -26,7 +26,6 @@
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/timer.hpp"
 #include "util/io.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"

@@ -49,7 +49,7 @@
 #include "ml/dataset.hpp"
 #include "ml/matrix.hpp"
 #include "ml/random_forest.hpp"
-#include "runtime/timer.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -117,7 +117,7 @@ int main() {
   // deterministic in (year, cohort size) only.
   features::FeatureExtractor extractor;
   {
-    runtime::PhaseTimer timer("scale_fit");
+    obs::Span phase("scale_fit", obs::kPhaseCategory);
     const std::vector<corpus::Author> seed = corpus::makeAuthorPopulation(
         kYear, std::min(authorCount, kFitAuthors));
     std::vector<std::string> sources;
@@ -141,7 +141,7 @@ int main() {
 
   corpus::ScaleBuildResult build;
   {
-    runtime::PhaseTimer timer("scale_generate");
+    obs::Span phase("scale_generate", obs::kPhaseCategory);
     util::Result<corpus::ScaleBuildResult> result =
         corpus::buildYearMatrix(extractor, config);
     if (!result.ok()) {
@@ -167,7 +167,7 @@ int main() {
 
   std::uint64_t matrixHash = 0;
   {
-    runtime::PhaseTimer timer("scale_hash");
+    obs::Span phase("scale_hash", obs::kPhaseCategory);
     matrixHash = ml::matrixContentHash(file);
   }
   obs::MetricsRegistry::global().counter("scale_matrix_hash").add(matrixHash);
@@ -182,13 +182,13 @@ int main() {
   forestConfig.seed = util::hash64("macro-scale-forest");
   ml::RandomForest forest(forestConfig);
   {
-    runtime::PhaseTimer timer("scale_train");
+    obs::Span phase("scale_train", obs::kPhaseCategory);
     forest.fit(trainView);
   }
 
   std::vector<int> streamed;
   {
-    runtime::PhaseTimer timer("scale_predict_stream");
+    obs::Span phase("scale_predict_stream", obs::kPhaseCategory);
     streamed = forest.predictAll(full);
   }
   std::uint64_t predHash = util::hash64("scale-pred-v1");
@@ -223,7 +223,7 @@ int main() {
   }
   std::size_t controlMismatches = 0;
   {
-    runtime::PhaseTimer timer("scale_control");
+    obs::Span phase("scale_control", obs::kPhaseCategory);
     const ml::Dataset control = full.subset(controlIdx);
     const std::vector<int> controlPreds = forest.predictAll(control);
     for (std::size_t j = 0; j < controlIdx.size(); ++j) {

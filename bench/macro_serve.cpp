@@ -157,7 +157,7 @@ PassResult runPass(const char* phase, const std::string& stream,
                    serve::ServerOptions options,
                    const std::vector<std::vector<std::string>>& oracle,
                    const std::map<std::string, RequestRef>& byId) {
-  runtime::PhaseTimer timer(phase);
+  obs::Span phaseSpan(phase, obs::kPhaseCategory);
   serve::Server server(std::move(options));
   std::istringstream in(stream);
   std::ostringstream out;
@@ -249,7 +249,7 @@ int main() {
       corpus::challengesForYear(kYear);
   std::vector<std::vector<std::string>> oracle;
   {
-    runtime::PhaseTimer timer("serve_oracle");
+    obs::Span phase("serve_oracle", obs::kPhaseCategory);
     oracle = buildOracle(challenges);
   }
 

@@ -146,7 +146,7 @@ PassResult runPass(const char* phase, const std::string& stream,
                    const std::vector<std::vector<std::string>>& oracle,
                    const std::map<std::string, RequestRef>& byId,
                    bool oracleCheck = true) {
-  runtime::PhaseTimer timer(phase);
+  obs::Span phaseSpan(phase, obs::kPhaseCategory);
   serve::Server server(std::move(options));
   std::istringstream in(stream);
   std::ostringstream out;
@@ -218,7 +218,7 @@ int main() {
       corpus::challengesForYear(kYear);
   std::vector<std::vector<std::string>> oracle;
   {
-    runtime::PhaseTimer timer("load_oracle");
+    obs::Span phase("load_oracle", obs::kPhaseCategory);
     oracle = buildOracle(challenges);
   }
 

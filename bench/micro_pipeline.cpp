@@ -186,20 +186,20 @@ void BM_AttributionTrainPredict(benchmark::State& state) {
 BENCHMARK(BM_AttributionTrainPredict)->Unit(benchmark::kMillisecond);
 
 /// SCA_PIPELINE_ONCE mode: exactly one deterministic pass over the mini
-/// pipeline (corpus -> transform -> train -> predict), each stage under a
-/// PhaseTimer. Unlike the google-benchmark path, whose adaptive iteration
+/// pipeline (corpus -> transform -> train -> predict), each stage a phase
+/// span. Unlike the google-benchmark path, whose adaptive iteration
 /// counts vary run to run, this mode performs a fixed event sequence — so
 /// the manifest's stable metrics section is byte-identical across
 /// SCA_THREADS values, which is what the CI observability smoke compares.
 int runPipelineOnce() {
   const corpus::YearDataset* data = nullptr;
   {
-    runtime::PhaseTimer timer("corpus_build");
+    obs::Span phase("corpus_build", obs::kPhaseCategory);
     data = &miniCorpus();
   }
   llm::TransformedDataset transformed;
   {
-    runtime::PhaseTimer timer("llm_transform");
+    obs::Span phase("llm_transform", obs::kPhaseCategory);
     transformed = llm::buildTransformedDataset(*data, 3);
   }
   std::vector<std::string> sources;
@@ -212,12 +212,12 @@ int runPipelineOnce() {
   config.forest.treeCount = 60;
   core::AttributionModel model(config);
   {
-    runtime::PhaseTimer timer("train");
+    obs::Span phase("train", obs::kPhaseCategory);
     model.train(sources, labels);
   }
   std::vector<int> predictions;
   {
-    runtime::PhaseTimer timer("predict");
+    obs::Span phase("predict", obs::kPhaseCategory);
     predictions = model.predictAll(sources);
   }
 

@@ -7,8 +7,8 @@
 #include <stdexcept>
 
 #include "ml/dataset.hpp"
+#include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/timer.hpp"
 
 namespace sca::core {
 
@@ -27,12 +27,12 @@ void AttributionModel::train(const std::vector<std::string>& sources,
   }
   std::vector<std::vector<double>> x;
   {
-    runtime::PhaseTimer timer("feature_extract");
+    obs::Span phase("feature_extract", obs::kPhaseCategory);
     extractor_ = features::FeatureExtractor(config_.extractor);
     extractor_.fit(sources);
     x = extractor_.transformAll(sources);
   }
-  runtime::PhaseTimer timer("forest_train");
+  obs::Span phase("forest_train", obs::kPhaseCategory);
   selector_ = features::FeatureSelector();
   selector_.fit(x, labels, config_.selectTopK);
   ml::Dataset data;
@@ -48,7 +48,7 @@ int AttributionModel::predict(const std::string& source) const {
 
 std::vector<int> AttributionModel::predictAll(
     const std::vector<std::string>& sources) const {
-  runtime::PhaseTimer timer("predict");
+  obs::Span phase("predict", obs::kPhaseCategory);
   std::vector<std::vector<double>> rows =
       runtime::parallelMap<std::vector<double>>(
           sources.size(),

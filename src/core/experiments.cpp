@@ -10,8 +10,8 @@
 
 #include "ml/metrics.hpp"
 #include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/timer.hpp"
 
 namespace sca::core {
 namespace {
@@ -63,7 +63,7 @@ const corpus::YearDataset& YearExperiment::corpusData() {
                     fields.addInt("year", year_);
                     fields.addUint("authors", config_.authorCount);
                   });
-    runtime::PhaseTimer timer("corpus_build");
+    obs::Span phase("corpus_build", obs::kPhaseCategory);
     corpus_ = corpus::buildYearDataset(year_, config_.authorCount);
   }
   return *corpus_;
@@ -79,7 +79,7 @@ const llm::TransformedDataset& YearExperiment::transformedData() {
                     fields.addUint("settings", llm::allSettings().size());
                     fields.addUint("challenges", data.challenges.size());
                   });
-    runtime::PhaseTimer timer("llm_transform");
+    obs::Span phase("llm_transform", obs::kPhaseCategory);
     transformed_ = llm::buildTransformedDataset(data, config_.steps);
   }
   return *transformed_;
@@ -101,7 +101,7 @@ const AttributionModel& YearExperiment::oracle() {
                     fields.addInt("year", year_);
                     fields.addUint("samples", sources.size());
                   });
-    runtime::PhaseTimer timer("oracle_train");
+    obs::Span phase("oracle_train", obs::kPhaseCategory);
     oracle_ = std::make_unique<AttributionModel>(config_.model);
     oracle_->train(sources, labels);
   }
@@ -122,7 +122,7 @@ const std::vector<int>& YearExperiment::oracleLabels() {
                     fields.addInt("year", year_);
                     fields.addUint("samples", sources.size());
                   });
-    runtime::PhaseTimer timer("oracle_predict");
+    obs::Span phase("oracle_predict", obs::kPhaseCategory);
     oracleLabels_ = model.predictAll(sources);
   }
   return *oracleLabels_;

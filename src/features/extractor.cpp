@@ -13,8 +13,8 @@
 #include "lexer/layout.hpp"
 #include "lexer/lexer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/timer.hpp"
 
 namespace sca::features {
 namespace {
@@ -370,7 +370,7 @@ void FeatureExtractor::fit(const std::vector<std::string>& sources) {
   // The batch lex->parse->summarize work is the pipeline's "analysis"
   // phase (one scope per batch call, on the calling thread, so the
   // CI slowdown-injection hook fires O(1) times per run).
-  runtime::PhaseTimer timer("analysis");
+  obs::Span phase("analysis", obs::kPhaseCategory);
   // Records come straight off the shared memo, in parallel; the
   // vocabularies then count document frequency once per distinct term of
   // each record's bags, serially (order-independent and cheap).
@@ -507,7 +507,7 @@ std::vector<double> FeatureExtractor::transformUncached(
 
 std::vector<std::vector<double>> FeatureExtractor::transformAll(
     const std::vector<std::string>& sources) const {
-  runtime::PhaseTimer timer("analysis");
+  obs::Span phase("analysis", obs::kPhaseCategory);
   return runtime::parallelMap<std::vector<double>>(
       sources.size(), [&](std::size_t i) { return transform(sources[i]); },
       runtime::ParallelOptions{.maxWorkers = 0, .grain = 8});

@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/timer.hpp"
 #include "style/archetypes.hpp"
 
 namespace sca::llm {

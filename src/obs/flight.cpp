@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -33,7 +36,10 @@ namespace {
 constexpr std::size_t kNameWords = 5;
 constexpr std::size_t kNameBytes = kNameWords * 8;  // 40
 constexpr std::uint32_t kMaxActiveDepth = 24;
-constexpr std::size_t kMaxRings = 1024;
+constexpr std::size_t kMaxRecords = 1024;
+constexpr std::size_t kTraceChunk = 1024;
+constexpr std::size_t kTraceChunks =
+    Tracer::kMaxEventsPerThread / kTraceChunk;
 
 // Slot fields are individually-relaxed atomics: the owning thread is the
 // only writer, but the watchdog thread and the fatal-signal handler read
@@ -55,37 +61,72 @@ struct ActiveSlot {
   std::atomic<std::uint64_t> name[kNameWords]{};
 };
 
-struct Ring {
+using detail::TracedSpan;
+static_assert(sizeof(TracedSpan::name) == kNameBytes);
+
+std::size_t gCapacity = 256;
+std::atomic<detail::Record*> gRecords[kMaxRecords];
+std::atomic<std::uint32_t> gRecordCount{0};
+
+// Tracer::clear() advances the epoch; a record's trace list belongs to
+// the epoch it was last reset in, and an owner that finds the epoch moved
+// resets its list before appending. Clear and snapshot hold the mutex, so
+// no reader is inside a list when its owner reuses the slots.
+std::atomic<std::uint64_t> gTraceEpoch{0};
+std::mutex gTraceReadMutex;
+
+}  // namespace
+
+namespace detail {
+
+struct Record {
   std::uint32_t tid = 0;       // written once before publication
-  std::uint32_t capacity = 0;  // written once before publication
+  std::uint32_t capacity = 0;  // ring slots, 0 = no ring; written once
   Slot* slots = nullptr;       // written once before publication
   std::atomic<std::uint64_t> head{0};
   std::atomic<bool> exited{false};
   std::atomic<std::uint32_t> depth{0};
   ActiveSlot active[kMaxActiveDepth];
+
+  // Owner-only span linkage: the innermost live traced span and the
+  // per-thread sequence that, under the tid, makes span ids unique.
+  std::uint64_t innermostSpan = 0;
+  std::uint64_t spanSequence = 0;
+  // Trace list: entries [0, traced) of epoch traceEpoch are published.
+  std::atomic<std::uint64_t> traceEpoch{0};
+  std::atomic<std::uint32_t> traced{0};
+  TracedSpan* chunks[kTraceChunks] = {};  // owner-allocated on demand
 };
 
-std::size_t gCapacity = 256;
-std::atomic<Ring*> gRings[kMaxRings];
-std::atomic<std::uint32_t> gRingCount{0};
-std::atomic<std::uint32_t> gNextTid{1};
-std::atomic<std::uint64_t> gDropped{0};
+}  // namespace detail
+
+namespace {
+
+void warnMalformed(const char* variable, const char* value,
+                   const char* keeping) {
+  std::fprintf(stderr, "[flight] ignoring malformed %s=%s (keeping %s)\n",
+               variable, value, keeping);
+}
 
 [[maybe_unused]] const bool gInitDone = [] {
-  long value = 256;
   if (const char* raw = std::getenv("SCA_FLIGHT_EVENTS");
       raw != nullptr && *raw != '\0') {
-    value = std::strtol(raw, nullptr, 10);
+    if (const std::optional<std::size_t> slots =
+            detail::parseRingCapacity(raw)) {
+      gCapacity = *slots;
+    } else {
+      warnMalformed("SCA_FLIGHT_EVENTS", raw, "256");
+    }
   }
-  if (value <= 0) {
-    gCapacity = 0;
-    detail::gEnabled.store(false, std::memory_order_relaxed);
-    return true;
-  }
-  gCapacity = static_cast<std::size_t>(std::clamp(value, 16L, 65536L));
-  detail::gEnabled.store(true, std::memory_order_relaxed);
+  detail::gEnabled.store(gCapacity > 0, std::memory_order_relaxed);
   return true;
 }();
+
+const Counter& droppedCounter() {
+  static const Counter counter = MetricsRegistry::global().counter(
+      "obs_events_dropped", Stability::kRuntime);
+  return counter;
+}
 
 char sanitizeChar(char c) noexcept {
   const unsigned char u = static_cast<unsigned char>(c);
@@ -95,96 +136,144 @@ char sanitizeChar(char c) noexcept {
 
 void packName(std::string_view name, std::uint64_t out[kNameWords]) noexcept {
   char bytes[kNameBytes] = {};
-  const std::size_t n = name.size() < kNameBytes ? name.size() : kNameBytes;
-  for (std::size_t i = 0; i < n; ++i) bytes[i] = sanitizeChar(name[i]);
-  for (std::size_t w = 0; w < kNameWords; ++w) {
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      word |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(bytes[w * 8 + b]))
-              << (8 * b);
-    }
-    out[w] = word;
-  }
+  std::memcpy(bytes, name.data(), std::min(name.size(), kNameBytes));
+  std::memcpy(out, bytes, kNameBytes);
 }
 
-// `out` must hold kNameBytes + 1; returns the NUL-terminated length.
-std::size_t unpackName(const std::uint64_t words[kNameWords],
-                       char out[]) noexcept {
-  for (std::size_t w = 0; w < kNameWords; ++w) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[w * 8 + b] = static_cast<char>((words[w] >> (8 * b)) & 0xff);
-    }
-  }
-  out[kNameBytes] = '\0';
+// `out` must hold kNameBytes + 1; returns the NUL-terminated length. Ring
+// names are sanitized on the way out, so the signal-safe dump writers can
+// embed them in JSON without escaping; trace names come back verbatim.
+std::size_t unpackName(const std::uint64_t words[kNameWords], char out[],
+                       bool sanitize = true) noexcept {
+  std::memcpy(out, words, kNameBytes);
   std::size_t len = 0;
-  while (len < kNameBytes && out[len] != '\0') ++len;
+  while (len < kNameBytes && out[len] != '\0') {
+    if (sanitize) out[len] = sanitizeChar(out[len]);
+    ++len;
+  }
   out[len] = '\0';
   return len;
 }
 
-Ring* attachRing() {
-  const std::uint32_t index =
-      gRingCount.fetch_add(1, std::memory_order_acq_rel);
-  if (index >= kMaxRings) return nullptr;
-  Ring* ring = new Ring;  // immortal, reachable through gRings
-  ring->tid = gNextTid.fetch_add(1, std::memory_order_relaxed);
-  ring->capacity = static_cast<std::uint32_t>(gCapacity);
-  ring->slots = new Slot[gCapacity];
-  gRings[index].store(ring, std::memory_order_release);
-  return ring;
+void loadName(const std::atomic<std::uint64_t> (&from)[kNameWords],
+              std::uint64_t words[kNameWords]) noexcept {
+  for (std::size_t w = 0; w < kNameWords; ++w) {
+    words[w] = from[w].load(std::memory_order_relaxed);
+  }
 }
 
-struct RingHandle {
-  Ring* ring = nullptr;
+void storeName(std::atomic<std::uint64_t> (&to)[kNameWords],
+               const std::uint64_t words[kNameWords]) noexcept {
+  for (std::size_t w = 0; w < kNameWords; ++w) {
+    to[w].store(words[w], std::memory_order_relaxed);
+  }
+}
+
+using detail::Record;
+
+Record* attachRecord() {
+  const std::uint32_t index =
+      gRecordCount.fetch_add(1, std::memory_order_acq_rel);
+  if (index >= kMaxRecords) return nullptr;
+  Record* record = new Record;  // immortal, reachable through gRecords
+  record->tid = index + 1;
+  record->capacity = static_cast<std::uint32_t>(gCapacity);
+  if (gCapacity > 0) record->slots = new Slot[gCapacity];
+  gRecords[index].store(record, std::memory_order_release);
+  return record;
+}
+
+struct RecordHandle {
+  Record* record = nullptr;
   bool attachFailed = false;
-  ~RingHandle() {
-    if (ring != nullptr) ring->exited.store(true, std::memory_order_relaxed);
+  ~RecordHandle() {
+    if (record != nullptr) {
+      record->exited.store(true, std::memory_order_relaxed);
+    }
   }
 };
 
-thread_local RingHandle tlsRing;
+thread_local RecordHandle tlsRecord;
 
-Ring* localRing() {
-  RingHandle& handle = tlsRing;
-  if (handle.ring == nullptr && !handle.attachFailed) {
-    handle.ring = attachRing();
-    if (handle.ring == nullptr) handle.attachFailed = true;
+// The calling thread's record; nullptr past the record table, where the
+// caller counts what it could not record.
+Record* localRecord() {
+  RecordHandle& handle = tlsRecord;
+  if (handle.record == nullptr && !handle.attachFailed) {
+    handle.record = attachRecord();
+    handle.attachFailed = handle.record == nullptr;
   }
-  return handle.ring;
+  return handle.record;
 }
 
-void recordEvent(Ring& ring, std::uint64_t tsNs, EventKind kind,
+void recordEvent(Record& record, std::uint64_t tsNs, EventKind kind,
                  const std::uint64_t nameWords[kNameWords], std::uint64_t arg,
                  std::uint8_t level) {
-  const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
-  Slot& slot = ring.slots[h % ring.capacity];
+  const std::uint64_t h = record.head.load(std::memory_order_relaxed);
+  Slot& slot = record.slots[h % record.capacity];
   slot.tsNs.store(tsNs, std::memory_order_relaxed);
   slot.arg.store(arg, std::memory_order_relaxed);
   slot.seq.store(h, std::memory_order_relaxed);
-  slot.tid.store(ring.tid, std::memory_order_relaxed);
+  slot.tid.store(record.tid, std::memory_order_relaxed);
   slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
   slot.level.store(level, std::memory_order_relaxed);
-  for (std::size_t w = 0; w < kNameWords; ++w) {
-    slot.name[w].store(nameWords[w], std::memory_order_relaxed);
-  }
-  ring.head.store(h + 1, std::memory_order_release);
+  storeName(slot.name, nameWords);
+  record.head.store(h + 1, std::memory_order_release);
 }
 
-std::uint32_t publishedRingCount() noexcept {
-  const std::uint32_t count = gRingCount.load(std::memory_order_acquire);
-  return count < kMaxRings ? count : static_cast<std::uint32_t>(kMaxRings);
+void appendTraced(Record& record, const TracedSpan& span) {
+  const std::uint64_t epoch = gTraceEpoch.load(std::memory_order_acquire);
+  std::uint32_t n = record.traced.load(std::memory_order_relaxed);
+  if (record.traceEpoch.load(std::memory_order_relaxed) != epoch) {
+    n = 0;
+    record.traced.store(0, std::memory_order_relaxed);
+    record.traceEpoch.store(epoch, std::memory_order_release);
+  }
+  if (n >= Tracer::kMaxEventsPerThread) {
+    droppedCounter().add();
+    return;
+  }
+  TracedSpan*& chunk = record.chunks[n / kTraceChunk];
+  if (chunk == nullptr) chunk = new TracedSpan[kTraceChunk];
+  chunk[n % kTraceChunk] = span;
+  record.traced.store(n + 1, std::memory_order_release);
+}
+
+std::uint32_t publishedRecordCount() noexcept {
+  const std::uint32_t count = gRecordCount.load(std::memory_order_acquire);
+  return count < kMaxRecords ? count : static_cast<std::uint32_t>(kMaxRecords);
+}
+
+// Records with a ring, in attach order; trace-only records (attached while
+// SCA_FLIGHT_EVENTS=0) have nothing to dump.
+Record* ringAt(std::uint32_t index) noexcept {
+  Record* record = gRecords[index].load(std::memory_order_acquire);
+  return record != nullptr && record->capacity > 0 ? record : nullptr;
 }
 
 bool anyActiveSpans() noexcept {
-  const std::uint32_t count = publishedRingCount();
+  const std::uint32_t count = publishedRecordCount();
   for (std::uint32_t i = 0; i < count; ++i) {
-    Ring* ring = gRings[i].load(std::memory_order_acquire);
+    Record* ring = ringAt(i);
     if (ring != nullptr && ring->depth.load(std::memory_order_relaxed) > 0) {
       return true;
     }
   }
   return false;
+}
+
+// SCA_OBS_TEST_DELAY_MS: CI's slowdown-injection hook. Every phase span
+// sleeps this long (cached; 0/unset = free no-op) before it reads its end
+// time, so the delay lands in the phase's recorded wall time — the lever
+// tools/ci.sh uses to prove `sca_cli history check` catches a regression.
+void applyPhaseTestDelay() {
+  static const int delayMs = [] {
+    const char* env = std::getenv("SCA_OBS_TEST_DELAY_MS");
+    return env != nullptr && *env != '\0' ? std::atoi(env) : 0;
+  }();
+  if (delayMs > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
+  }
 }
 
 std::uint64_t monotonicNowNs() noexcept {
@@ -315,12 +404,16 @@ void emitHeader(const Sink& sink, const char* cause, int signo) noexcept {
 }
 
 void emitRings(const Sink& sink) noexcept {
-  const std::uint32_t count = publishedRingCount();
+  const std::uint32_t count = publishedRecordCount();
+  std::uint64_t threads = 0;
   std::uint64_t totalEvents = 0;
+  char name[kNameBytes + 1];
+  std::uint64_t words[kNameWords];
   for (std::uint32_t i = 0; i < count; ++i) {
-    Ring* ring = gRings[i].load(std::memory_order_acquire);
+    Record* ring = ringAt(i);
     if (ring == nullptr) continue;
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    ++threads;
     totalEvents += head;
     LineBuf line;
     line.str("{\"type\":\"thread\",\"tid\":");
@@ -334,12 +427,8 @@ void emitRings(const Sink& sink) noexcept {
 
     std::uint32_t depth = ring->depth.load(std::memory_order_acquire);
     if (depth > kMaxActiveDepth) depth = kMaxActiveDepth;
-    char name[kNameBytes + 1];
     for (std::uint32_t d = 0; d < depth; ++d) {
-      std::uint64_t words[kNameWords];
-      for (std::size_t w = 0; w < kNameWords; ++w) {
-        words[w] = ring->active[d].name[w].load(std::memory_order_relaxed);
-      }
+      loadName(ring->active[d].name, words);
       const std::size_t nameLen = unpackName(words, name);
       line.str("{\"type\":\"active\",\"tid\":");
       line.u64(ring->tid);
@@ -353,16 +442,12 @@ void emitRings(const Sink& sink) noexcept {
       line.flush(sink);
     }
 
-    const std::uint64_t window =
-        ring->capacity > 0 ? ring->capacity - 1 : 0;
+    const std::uint64_t window = ring->capacity - 1;
     const std::uint64_t tail = head < window ? head : window;
     for (std::uint64_t seq = head - tail; seq < head; ++seq) {
       Slot& slot = ring->slots[seq % ring->capacity];
       if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
-      std::uint64_t words[kNameWords];
-      for (std::size_t w = 0; w < kNameWords; ++w) {
-        words[w] = slot.name[w].load(std::memory_order_relaxed);
-      }
+      loadName(slot.name, words);
       const std::size_t nameLen = unpackName(words, name);
       line.str("{\"type\":\"event\",\"tid\":");
       line.u64(ring->tid);
@@ -384,7 +469,7 @@ void emitRings(const Sink& sink) noexcept {
   }
   LineBuf end;
   end.str("{\"type\":\"end\",\"threads\":");
-  end.u64(count);
+  end.u64(threads);
   end.str(",\"events\":");
   end.u64(totalEvents);
   end.ch('}');
@@ -551,14 +636,15 @@ const char* eventKindName(std::uint8_t kind) noexcept {
 void note(EventKind kind, std::string_view name, std::uint64_t arg,
           std::uint8_t level) {
   if (!enabled()) return;
-  Ring* ring = localRing();
-  if (ring == nullptr) {
-    gDropped.fetch_add(1, std::memory_order_relaxed);
+  Record* record = localRecord();
+  if (record == nullptr) {
+    droppedCounter().add();
     return;
   }
+  if (record->capacity == 0) return;
   std::uint64_t words[kNameWords];
   packName(name, words);
-  recordEvent(*ring, Tracer::global().nowNs(), kind, words, arg, level);
+  recordEvent(*record, Tracer::global().nowNs(), kind, words, arg, level);
 }
 
 void noteLog(std::uint8_t level, std::string_view component,
@@ -578,71 +664,37 @@ void noteLog(std::uint8_t level, std::string_view component,
   note(EventKind::kLog, std::string_view(buf, n), 0, level);
 }
 
-void spanBegin(std::string_view name) {
-  if (!enabled()) return;
-  Ring* ring = localRing();
-  if (ring == nullptr) {
-    gDropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t now = Tracer::global().nowNs();
-  std::uint64_t words[kNameWords];
-  packName(name, words);
-  const std::uint32_t depth = ring->depth.load(std::memory_order_relaxed);
-  if (depth < kMaxActiveDepth) {
-    ActiveSlot& active = ring->active[depth];
-    active.sinceNs.store(now, std::memory_order_relaxed);
-    for (std::size_t w = 0; w < kNameWords; ++w) {
-      active.name[w].store(words[w], std::memory_order_relaxed);
-    }
-  }
-  ring->depth.store(depth + 1, std::memory_order_release);
-  recordEvent(*ring, now, EventKind::kSpanBegin, words, 0,
-              static_cast<std::uint8_t>(std::min<std::uint32_t>(depth, 255)));
-}
-
-void spanEnd(std::string_view name, std::uint64_t durationNs) {
-  if (!enabled()) return;
-  Ring* ring = localRing();
-  if (ring == nullptr) {
-    gDropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint32_t depth = ring->depth.load(std::memory_order_relaxed);
-  if (depth > 0) ring->depth.store(depth - 1, std::memory_order_release);
-  std::uint64_t words[kNameWords];
-  packName(name, words);
-  recordEvent(
-      *ring, Tracer::global().nowNs(), EventKind::kSpanEnd, words, durationNs,
-      static_cast<std::uint8_t>(std::min<std::uint32_t>(
-          depth > 0 ? depth - 1 : 0, 255)));
+std::uint32_t threadId() {
+  const Record* record = localRecord();
+  return record != nullptr ? record->tid : 0;
 }
 
 std::uint64_t progressEpoch() noexcept {
-  const std::uint32_t count = publishedRingCount();
+  const std::uint32_t count = publishedRecordCount();
   std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    Ring* ring = gRings[i].load(std::memory_order_acquire);
-    if (ring != nullptr) total += ring->head.load(std::memory_order_relaxed);
+    if (Record* ring = ringAt(i)) {
+      total += ring->head.load(std::memory_order_relaxed);
+    }
   }
   return total;
 }
 
 std::vector<ThreadSnapshot> snapshot() {
   std::vector<ThreadSnapshot> out;
-  const std::uint32_t count = publishedRingCount();
+  const std::uint32_t count = publishedRecordCount();
   out.reserve(count);
   char name[kNameBytes + 1];
+  std::uint64_t words[kNameWords];
   for (std::uint32_t i = 0; i < count; ++i) {
-    Ring* ring = gRings[i].load(std::memory_order_acquire);
+    Record* ring = ringAt(i);
     if (ring == nullptr) continue;
     ThreadSnapshot snap;
     snap.tid = ring->tid;
     snap.exited = ring->exited.load(std::memory_order_relaxed);
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     snap.totalEvents = head;
-    const std::uint64_t window =
-        ring->capacity > 0 ? ring->capacity - 1 : 0;
+    const std::uint64_t window = ring->capacity - 1;
     const std::uint64_t tail = head < window ? head : window;
     snap.events.reserve(tail);
     for (std::uint64_t seq = head - tail; seq < head; ++seq) {
@@ -655,24 +707,16 @@ std::vector<ThreadSnapshot> snapshot() {
       event.tid = slot.tid.load(std::memory_order_relaxed);
       event.kind = slot.kind.load(std::memory_order_relaxed);
       event.level = slot.level.load(std::memory_order_relaxed);
-      std::uint64_t words[kNameWords];
-      for (std::size_t w = 0; w < kNameWords; ++w) {
-        words[w] = slot.name[w].load(std::memory_order_relaxed);
-      }
-      const std::size_t nameLen = unpackName(words, name);
-      event.name.assign(name, nameLen);
+      loadName(slot.name, words);
+      event.name.assign(name, unpackName(words, name));
       snap.events.push_back(std::move(event));
     }
     std::uint32_t depth = ring->depth.load(std::memory_order_acquire);
     if (depth > kMaxActiveDepth) depth = kMaxActiveDepth;
     for (std::uint32_t d = 0; d < depth; ++d) {
-      std::uint64_t words[kNameWords];
-      for (std::size_t w = 0; w < kNameWords; ++w) {
-        words[w] = ring->active[d].name[w].load(std::memory_order_relaxed);
-      }
-      const std::size_t nameLen = unpackName(words, name);
+      loadName(ring->active[d].name, words);
       SnapshotActiveSpan span;
-      span.name.assign(name, nameLen);
+      span.name.assign(name, unpackName(words, name));
       span.sinceNs = ring->active[d].sinceNs.load(std::memory_order_relaxed);
       snap.activeSpans.push_back(std::move(span));
     }
@@ -690,7 +734,12 @@ ArmOptions armOptionsFromEnv(std::string label) {
   }
   if (const char* raw = std::getenv("SCA_WATCHDOG_S");
       raw != nullptr && *raw != '\0') {
-    options.watchdogSeconds = std::clamp(std::strtod(raw, nullptr), 0.0, 3600.0);
+    if (const std::optional<double> seconds =
+            detail::parseWatchdogSeconds(raw)) {
+      options.watchdogSeconds = *seconds;
+    } else {
+      warnMalformed("SCA_WATCHDOG_S", raw, "the watchdog off");
+    }
   }
   return options;
 }
@@ -782,6 +831,26 @@ std::string postmortemPath() {
 
 namespace detail {
 
+std::optional<std::size_t> parseRingCapacity(std::string_view text) {
+  unsigned long long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if (value == 0) return 0;
+  return static_cast<std::size_t>(std::clamp(value, 16ULL, 65536ULL));
+}
+
+std::optional<double> parseWatchdogSeconds(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    return std::nullopt;
+  }
+  return std::min(value, 3600.0);
+}
+
 void setEnabledForTest(bool enabled) {
   if (enabled && gCapacity == 0) gCapacity = 256;
   gEnabled.store(enabled, std::memory_order_relaxed);
@@ -794,10 +863,128 @@ void runFatalSignalHandlerForTest(int signo) {
   writeSignalPostmortem(signo);
 }
 
-std::uint64_t droppedEvents() noexcept {
-  return gDropped.load(std::memory_order_relaxed);
-}
-
 }  // namespace detail
 
 }  // namespace sca::obs::flight
+
+// ---------------------------------------------------------------------------
+// obs::Span writes, and obs::Tracer reads, the per-thread record above.
+
+namespace sca::obs {
+
+using flight::detail::Record;
+
+Span::Span(std::string_view name, const char* category) {
+  span_.category = category;
+  Tracer& tracer = Tracer::global();
+  const bool traced = tracer.enabled();
+  const bool ringed = flight::enabled();
+  const bool phase = category == kPhaseCategory;
+  if (!traced && !ringed && !phase) return;
+  if (phase) {
+    phase_ = MetricsRegistry::global().gauge(std::string(kPhaseGaugePrefix) +
+                                             std::string(name));
+  }
+  open_ = true;
+  span_.startNs = tracer.nowNs();
+  if (!traced && !ringed) return;
+  record_ = flight::localRecord();
+  if (record_ == nullptr) {
+    flight::droppedCounter().add();
+    return;
+  }
+  Record& record = *record_;
+  flight::packName(name, span_.name);
+  if (traced) {
+    // The tid in the high bits keeps ids unique across threads without any
+    // shared counter; the parent chain lives in the Span objects, so it is
+    // exact at any depth.
+    span_.parentId = record.innermostSpan;
+    span_.id = (static_cast<std::uint64_t>(record.tid) << 32) |
+               (++record.spanSequence & 0xffffffffULL);
+    record.innermostSpan = span_.id;
+  }
+  if (ringed && record.capacity > 0) {
+    ringed_ = true;
+    const std::uint32_t depth = record.depth.load(std::memory_order_relaxed);
+    if (depth < flight::kMaxActiveDepth) {
+      record.active[depth].sinceNs.store(span_.startNs,
+                                         std::memory_order_relaxed);
+      flight::storeName(record.active[depth].name, span_.name);
+    }
+    record.depth.store(depth + 1, std::memory_order_release);
+    flight::recordEvent(
+        record, span_.startNs, flight::EventKind::kSpanBegin, span_.name, 0,
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(depth, 255)));
+  }
+}
+
+Span::~Span() {
+  if (!open_) return;
+  const bool phase = span_.category == kPhaseCategory;
+  if (phase) flight::applyPhaseTestDelay();
+  const std::uint64_t endNs = Tracer::global().nowNs();
+  span_.durationNs = endNs - span_.startNs;
+  if (phase) phase_.add(static_cast<double>(span_.durationNs) / 1e9);
+  if (record_ == nullptr) return;
+  if (ringed_) {
+    const std::uint32_t depth = record_->depth.load(std::memory_order_relaxed);
+    const std::uint32_t outer = depth > 0 ? depth - 1 : 0;
+    record_->depth.store(outer, std::memory_order_release);
+    flight::recordEvent(
+        *record_, endNs, flight::EventKind::kSpanEnd, span_.name,
+        span_.durationNs,
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(outer, 255)));
+  }
+  if (span_.id != 0) {
+    record_->innermostSpan = span_.parentId;
+    flight::appendTraced(*record_, span_);
+  }
+}
+
+std::uint64_t Tracer::currentSpanId() noexcept {
+  const Record* record = flight::tlsRecord.record;
+  return record != nullptr ? record->innermostSpan : 0;
+}
+
+std::vector<TraceEvent> Tracer::snapshotEvents() const {
+  std::vector<TraceEvent> out;
+  {
+    const std::lock_guard<std::mutex> lock(flight::gTraceReadMutex);
+    const std::uint64_t epoch =
+        flight::gTraceEpoch.load(std::memory_order_relaxed);
+    const std::uint32_t count = flight::publishedRecordCount();
+    char name[flight::kNameBytes + 1];
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const Record* record =
+          flight::gRecords[i].load(std::memory_order_acquire);
+      if (record == nullptr ||
+          record->traceEpoch.load(std::memory_order_acquire) != epoch) {
+        continue;
+      }
+      const std::uint32_t n = record->traced.load(std::memory_order_acquire);
+      for (std::uint32_t k = 0; k < n; ++k) {
+        const flight::TracedSpan& span =
+            record->chunks[k / flight::kTraceChunk][k % flight::kTraceChunk];
+        out.push_back(
+            {std::string(name, flight::unpackName(span.name, name, false)),
+             span.category, span.startNs, span.durationNs, record->tid,
+             span.id, span.parentId});
+      }
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              if (a.startNs != b.startNs) return a.startNs < b.startNs;
+              if (a.tid != b.tid) return a.tid < b.tid;
+              return a.id < b.id;
+            });
+  return out;
+}
+
+void Tracer::clear() {
+  const std::lock_guard<std::mutex> lock(flight::gTraceReadMutex);
+  flight::gTraceEpoch.fetch_add(1, std::memory_order_release);
+}
+
+}  // namespace sca::obs

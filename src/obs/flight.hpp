@@ -2,13 +2,19 @@
 
 // Always-on flight recorder, stall watchdog, and crash forensics.
 //
-// Every thread that records an event owns a fixed-size overwrite-oldest
-// ring of compact events (span begin/end, log records, phases, stream
-// progress) plus a bounded stack of currently-active span names. Rings
+// Every thread that records anything owns one record, never freed, whose
+// tid is the thread id the dumps, the Chrome trace and the event log all
+// print. It holds a fixed-size overwrite-oldest ring of compact events
+// (span begin/end, log records, phases, stream progress) plus a bounded
+// stack of currently-active span names, and, while tracing is on, the
+// closed spans obs::Tracer reads (kept until Tracer::clear()). Rings
 // are single-writer (the owning thread) and multi-reader (watchdog
 // thread, fatal-signal handler, tests); every slot field is a relaxed
 // atomic word so concurrent reads are race-free and lock-free, and the
-// per-ring head is the release/acquire publication point.
+// per-ring head is the release/acquire publication point. What no record
+// can keep (a traced span past the per-thread cap, anything on a thread
+// past the record table) is counted in the runtime counter
+// obs_events_dropped.
 //
 // The recorder is purely observational: it never touches RNG state,
 // stable metrics, or any output byte, so recorder-on runs stay
@@ -23,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,9 +59,10 @@ inline bool enabled() noexcept {
 }
 
 // Record one event into the calling thread's ring. `name` is truncated
-// to the slot width and sanitized to printable ASCII without quotes or
-// backslashes, so dump writers can embed it in JSON verbatim. No-op
-// when the recorder is disabled.
+// to the slot width; whatever reads the ring back (snapshot, dumps) sees
+// it sanitized to printable ASCII without quotes or backslashes, so dump
+// writers can embed it in JSON verbatim. No-op when the recorder is
+// disabled.
 void note(EventKind kind, std::string_view name, std::uint64_t arg = 0,
           std::uint8_t level = 0);
 
@@ -64,11 +72,9 @@ void note(EventKind kind, std::string_view name, std::uint64_t arg = 0,
 void noteLog(std::uint8_t level, std::string_view component,
              std::string_view event);
 
-// Span lifecycle feed (called by obs::Span). Begin pushes onto the
-// thread's active-span stack and records a kSpanBegin event; end pops
-// and records kSpanEnd with the duration as `arg`.
-void spanBegin(std::string_view name);
-void spanEnd(std::string_view name, std::uint64_t durationNs);
+// The calling thread's record tid, attaching the record on first use (0
+// past the record table). The event log stamps it on every line.
+std::uint32_t threadId();
 
 // Sum of all ring heads: every recorded event advances it, so it doubles
 // as the watchdog's heartbeat epoch.
@@ -141,6 +147,13 @@ std::string watchdogDumpPath();
 std::string postmortemPath();
 
 namespace detail {
+// SCA_FLIGHT_EVENTS (ring slots; 0 = off, else clamped to 16–65,536) and
+// SCA_WATCHDOG_S (seconds; 0 = off, at most 3600). nullopt on anything but
+// a plain non-negative number; the env readers then keep the default (256
+// slots, watchdog off) and say so on stderr.
+std::optional<std::size_t> parseRingCapacity(std::string_view text);
+std::optional<double> parseWatchdogSeconds(std::string_view text);
+
 // Test hooks. setEnabledForTest flips the recorder gate (tests restore
 // the initial state); ringCapacity reports the resolved per-thread slot
 // count; runFatalSignalHandlerForTest executes the real handler body
@@ -149,7 +162,6 @@ namespace detail {
 void setEnabledForTest(bool enabled);
 std::size_t ringCapacity() noexcept;
 void runFatalSignalHandlerForTest(int signo);
-std::uint64_t droppedEvents() noexcept;
 }  // namespace detail
 
 }  // namespace sca::obs::flight

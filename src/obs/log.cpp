@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
@@ -12,18 +11,6 @@
 #include "obs/trace.hpp"
 
 namespace sca::obs {
-namespace {
-
-/// Dense per-thread id for log records, independent of the tracer's tid
-/// numbering (the log must work when tracing is off).
-std::uint32_t localTid() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local std::uint32_t tid = next.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  return tid;
-}
-
-}  // namespace
 
 LogLevel parseLogLevel(std::string_view text, LogLevel fallback) {
   const std::string lowered = util::toLower(text);
@@ -102,7 +89,7 @@ void EventLog::write(LogLevel level, std::string_view component,
   util::JsonObjectBuilder record;
   record.addUint("ts_ns", Tracer::global().nowNs());
   record.add("level", logLevelName(level));
-  record.addUint("tid", localTid());
+  record.addUint("tid", flight::threadId());
   record.add("span", util::toHex64(Tracer::currentSpanId()));
   record.add("component", component);
   record.add("event", event);

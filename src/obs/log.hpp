@@ -14,7 +14,8 @@
 //
 //   ts_ns      nanoseconds since the tracer epoch (the same clock spans
 //              use, so log lines and trace spans share a timeline)
-//   tid        dense per-thread id (the log's own numbering)
+//   tid        the thread's flight-record tid, the same id the Chrome
+//              trace and the flight dumps print
 //   span       innermost live trace span on the emitting thread as 16 hex
 //              chars ("0" * 16 = none) — join key into SCA_TRACE output
 //   fields     event-specific payload, omitted when empty

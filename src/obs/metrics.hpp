@@ -47,7 +47,7 @@ enum class GaugeKind { kSum, kMax };
 
 /// Gauges recorded under this name prefix are phase wall-times; the
 /// manifest and the history record strip the prefix into their "phases"
-/// sections; runtime::PhaseTimer records through it.
+/// sections; an obs::Span in obs::kPhaseCategory records through it.
 inline constexpr std::string_view kPhaseGaugePrefix = "phase:";
 
 class MetricsRegistry;

@@ -1,44 +1,69 @@
-// Span tracer: RAII scopes -> per-thread event buffers -> Chrome
+// Span tracer: RAII scopes -> the per-thread flight record -> Chrome
 // trace_event JSON.
 //
-// A Span records name, category, parent linkage (the innermost live span
-// on the same thread), a dense per-thread tid and steady-clock
-// start/duration in nanoseconds since the tracer epoch. Completed spans
-// land in the recording thread's own buffer (one brief uncontended mutex
-// per span exit — spans are phase/task granularity, not per-token), and
-// writeChromeTrace() merges the buffers into the JSON that
+// A Span records name, category, parent linkage (the innermost live traced
+// span on the same thread), the thread's record tid and steady-clock
+// start/duration in nanoseconds since the tracer epoch. It writes once, to
+// its thread's flight record (obs/flight.hpp): begin and end events to the
+// ring while the flight recorder is on, and its closed span to the
+// record's trace list while tracing is on. The Tracer is a read-only view
+// over those lists; writeChromeTrace() renders them as the JSON that
 // chrome://tracing and Perfetto load, written crash-safely via
-// util::atomicWriteFile.
+// util::atomicWriteFile. Spans of exited threads stay until clear().
+//
+// A span in kPhaseCategory is a pipeline phase: at close it adds its wall
+// seconds to the registry sum-gauge kPhaseGaugePrefix + name, even with
+// both recorders off. Any other span then costs two relaxed loads, so the
+// instrumentation can stay in every hot path permanently.
 //
 // Tracing is off unless the SCA_TRACE environment variable names an
-// output path (or a test calls setEnabled). While off, constructing a
-// Span is a single relaxed flag load — the instrumentation can stay in
-// every hot path permanently.
+// output path (or a test calls setEnabled). Timestamps are wall-clock and
+// therefore excluded from all deterministic output: traces and the
+// manifest's span aggregates are diagnostics, never part of the
+// byte-comparable metrics section.
 //
-// Timestamps are wall-clock and therefore excluded from all deterministic
-// output: traces and the manifest's span aggregates are diagnostics, never
-// part of the byte-comparable metrics section.
-//
-// Buffers are capped (kMaxEventsPerThread); overflow drops the new event
-// and counts it, so a runaway region degrades the trace instead of memory.
+// A thread keeps at most kMaxEventsPerThread traced spans; overflow drops
+// the new span and counts it (obs_events_dropped), so a runaway region
+// degrades the trace instead of memory. Names keep their first 40 bytes.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/status.hpp"
 
 namespace sca::obs {
 
+namespace flight::detail {
+struct Record;
+
+/// A span as its thread's record keeps it once closed; `name` is packed in
+/// the ring's slot layout.
+struct TracedSpan {
+  std::uint64_t name[5] = {};
+  const char* category = nullptr;
+  std::uint64_t startNs = 0;
+  std::uint64_t durationNs = 0;
+  std::uint64_t id = 0;  // non-zero: traced
+  std::uint64_t parentId = 0;
+};
+}  // namespace flight::detail
+
+/// The category of pipeline phases. Spans are matched by this address, not
+/// by text: a span is a phase only when constructed with kPhaseCategory.
+inline constexpr char kPhaseCategory[] = "phase";
+
 struct TraceEvent {
   std::string name;
-  const char* category = "phase";  // static strings only
+  const char* category = kPhaseCategory;  // static strings only
   std::uint64_t startNs = 0;       // since the tracer epoch (steady clock)
   std::uint64_t durationNs = 0;
-  std::uint32_t tid = 0;           // dense per-thread id, assigned on attach
+  std::uint32_t tid = 0;           // the thread's flight-record tid
   std::uint64_t id = 0;            // unique non-zero span id
   std::uint64_t parentId = 0;      // 0 = root (no enclosing span)
 };
@@ -58,66 +83,57 @@ class Tracer {
   }
 
   /// The SCA_TRACE value captured at first use ("" when unset).
-  [[nodiscard]] const std::string& configuredPath() const noexcept;
+  [[nodiscard]] const std::string& configuredPath() const noexcept {
+    return configuredPath_;
+  }
 
-  void record(TraceEvent event);
-
-  /// All completed spans so far, merged and sorted by (startNs, tid, id).
+  /// All traced spans closed since the last clear(), merged and sorted by
+  /// (startNs, tid, id).
   [[nodiscard]] std::vector<TraceEvent> snapshotEvents() const;
 
-  /// Drops every recorded event (buffers stay attached). For tests.
+  /// Drops every traced span.
   void clear();
-
-  [[nodiscard]] std::uint64_t droppedEvents() const noexcept;
 
   /// Steady-clock nanoseconds since the tracer epoch.
   [[nodiscard]] std::uint64_t nowNs() const;
 
-  /// Id of the innermost live span on the calling thread (0 = none). The
-  /// event log stamps this on every record so log lines can be joined to
-  /// the trace they were emitted under.
+  /// Id of the innermost live traced span on the calling thread (0 =
+  /// none). The event log stamps this on every record so log lines can be
+  /// joined to the trace they were emitted under.
   [[nodiscard]] static std::uint64_t currentSpanId() noexcept;
 
   /// Atomically writes the Chrome trace JSON for every event so far.
   [[nodiscard]] util::Status writeChromeTrace(const std::string& path) const;
 
  private:
-  struct Buffer;
-  struct BufferHandle;
-  struct Impl;
-
   Tracer();
-  ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  [[nodiscard]] Buffer& localBuffer();
-  void detachBuffer(Buffer* buffer);
-
-  friend class Span;
   std::atomic<bool> enabled_{false};
-  Impl* impl_;
+  std::string configuredPath_;
+  std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
 };
 
-/// RAII span. Near-free when tracing is disabled at construction.
+/// RAII span; see the header comment. Span and the Tracer's reads are
+/// implemented in flight.cpp, next to the per-thread record they share.
 class Span {
  public:
-  explicit Span(std::string_view name, const char* category = "phase");
+  explicit Span(std::string_view name, const char* category = "span");
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
   /// 0 when tracing was disabled at construction.
-  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+  [[nodiscard]] std::uint64_t id() const noexcept { return span_.id; }
 
  private:
-  std::string name_;
-  const char* category_ = nullptr;
-  std::uint64_t startNs_ = 0;
-  std::uint64_t id_ = 0;
-  std::uint64_t parentId_ = 0;
-  bool active_ = false;        // feeding the tracer
-  bool flightActive_ = false;  // feeding the flight recorder
+  flight::detail::Record* record_ = nullptr;  // null: writes no record
+  flight::detail::TracedSpan span_;  // what a traced close appends
+  Gauge phase_;          // phase spans only
+  bool open_ = false;    // timed: a recorder was on, or a phase
+  bool ringed_ = false;  // wrote its begin event to the ring
 };
 
 /// Renders events as a Chrome trace_event JSON document (ts/dur in

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,16 +89,20 @@ TEST_F(FlightTest, RingOverwritesOldestAndKeepsSequenceContiguous) {
             static_cast<std::uint8_t>(EventKind::kPhase));
 }
 
-// obs::Span feeds the recorder even with the tracer disabled, and the
-// active-span stack tracks nesting in real time.
+// obs::Span feeds the recorder even with the tracer disabled (its id
+// stays 0, which perfbench's work ledger relies on), and the active-span
+// stack tracks nesting in real time.
 TEST_F(FlightTest, SpansFeedTheActiveStackIndependentlyOfTheTracer) {
   ASSERT_FALSE(Tracer::global().enabled());
   std::vector<std::string> whileNested;
   std::vector<std::string> afterInner;
+  std::vector<std::uint8_t> innerKinds;
+  std::uint64_t ids = 1;
   std::thread worker([&] {
     Span outer("flight_outer");
     {
       Span inner("flight_inner");
+      ids = outer.id() | inner.id();
       for (const ThreadSnapshot& thread : snapshot()) {
         if (!thread.activeSpans.empty() &&
             thread.activeSpans.back().name == "flight_inner") {
@@ -113,15 +118,72 @@ TEST_F(FlightTest, SpansFeedTheActiveStackIndependentlyOfTheTracer) {
         for (const SnapshotActiveSpan& span : thread.activeSpans) {
           afterInner.push_back(span.name);
         }
+        for (const SnapshotEvent& event : thread.events) {
+          if (event.name == "flight_inner") innerKinds.push_back(event.kind);
+        }
       }
     }
   });
   worker.join();
+  EXPECT_EQ(ids, 0u);
   ASSERT_EQ(whileNested.size(), 2u);
   EXPECT_EQ(whileNested[0], "flight_outer");
   EXPECT_EQ(whileNested[1], "flight_inner");
   ASSERT_EQ(afterInner.size(), 1u);
   EXPECT_EQ(afterInner[0], "flight_outer");
+  ASSERT_EQ(innerKinds.size(), 2u);
+  EXPECT_EQ(innerKinds[0], static_cast<std::uint8_t>(EventKind::kSpanBegin));
+  EXPECT_EQ(innerKinds[1], static_cast<std::uint8_t>(EventKind::kSpanEnd));
+}
+
+// The trace list does not depend on the ring: with the recorder gate off
+// the span is traced and the ring sees nothing.
+TEST_F(FlightTest, TracingRecordsWithTheRingDisabled) {
+  detail::setEnabledForTest(false);
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  bool inRing = false;
+  std::thread worker([&] {
+    { Span span("flight_trace_only"); }
+    for (const ThreadSnapshot& thread : snapshot()) {
+      for (const SnapshotEvent& event : thread.events) {
+        inRing = inRing || event.name == "flight_trace_only";
+      }
+    }
+  });
+  worker.join();
+  const std::vector<TraceEvent> events = tracer.snapshotEvents();
+  tracer.setEnabled(false);
+  tracer.clear();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "flight_trace_only");
+  EXPECT_NE(events[0].id, 0u);
+  EXPECT_FALSE(inRing);
+}
+
+// SCA_FLIGHT_EVENTS and SCA_WATCHDOG_S parse whole numbers only; anything
+// else is rejected (the env readers then keep the defaults and warn)
+// instead of silently switching the recorder or the watchdog off.
+TEST_F(FlightTest, EnvKnobsParseWholeNumbersOnly) {
+  for (const char* bad : {"abc", "-5", "1e3", "16x", "", " 16", "+16"}) {
+    EXPECT_FALSE(detail::parseRingCapacity(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(detail::parseRingCapacity("0"), std::optional<std::size_t>(0));
+  EXPECT_EQ(detail::parseRingCapacity("8"), std::optional<std::size_t>(16));
+  EXPECT_EQ(detail::parseRingCapacity("300"),
+            std::optional<std::size_t>(300));
+  EXPECT_EQ(detail::parseRingCapacity("1000000"),
+            std::optional<std::size_t>(65536));
+
+  for (const char* bad : {"abc", "2s", "-1", "nan", "inf", ""}) {
+    EXPECT_FALSE(detail::parseWatchdogSeconds(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(detail::parseWatchdogSeconds("0"), std::optional<double>(0.0));
+  EXPECT_EQ(detail::parseWatchdogSeconds("2"), std::optional<double>(2.0));
+  EXPECT_EQ(detail::parseWatchdogSeconds("0.5"), std::optional<double>(0.5));
+  EXPECT_EQ(detail::parseWatchdogSeconds("1e5"),
+            std::optional<double>(3600.0));
 }
 
 // logEvent call sites land in the ring as "component:event" records even
@@ -146,9 +208,9 @@ TEST_F(FlightTest, LogEventFeedsTheRingWhenTheEventLogIsOff) {
   EXPECT_TRUE(seen.load());
 }
 
-// Names are sanitized at record time so dump writers can embed them in
-// JSON without escaping — quotes, backslashes and control bytes cannot
-// reach the async-signal-safe serializer.
+// Ring names are sanitized before any reader sees them, so dump writers
+// can embed them in JSON without escaping — quotes, backslashes and
+// control bytes cannot reach the async-signal-safe serializer.
 TEST_F(FlightTest, EventNamesAreSanitizedAtRecordTime) {
   bool checked = false;
   std::thread worker([&] {

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "llm/checkpoint.hpp"
+#include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -153,6 +155,202 @@ TEST_F(ObsTest, DisabledTracerRecordsNothing) {
     EXPECT_EQ(span.id(), 0u);
   }
   EXPECT_TRUE(tracer.snapshotEvents().empty());
+}
+
+/// Traced spans named `name` in the tracer's current view.
+std::size_t countTraced(std::string_view name) {
+  const std::vector<TraceEvent> events = Tracer::global().snapshotEvents();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [&](const TraceEvent& e) { return e.name == name; }));
+}
+
+/// Turns the flight ring on for one test and restores it after.
+class RingOn {
+ public:
+  RingOn() : was_(flight::enabled()) {
+    flight::detail::setEnabledForTest(true);
+  }
+  ~RingOn() { flight::detail::setEnabledForTest(was_); }
+
+ private:
+  bool was_;
+};
+
+// The trace list and the ring are two retention policies in one record: a
+// traced span stays until clear(), however many untraced events the same
+// thread then writes to its wrapping ring.
+TEST_F(ObsTest, TracedSpansOutliveUntracedRingTraffic) {
+  const RingOn ring;
+  const std::size_t untraced = 4 * flight::detail::ringCapacity();
+  Tracer& tracer = Tracer::global();
+  tracer.clear();
+  std::thread worker([&] {
+    tracer.setEnabled(true);
+    for (int i = 0; i < 3; ++i) Span span("obs_test_kept");
+    tracer.setEnabled(false);
+    for (std::size_t i = 0; i < untraced; ++i) Span span("obs_test_untraced");
+  });
+  worker.join();
+  EXPECT_EQ(countTraced("obs_test_kept"), 3u);
+  EXPECT_EQ(countTraced("obs_test_untraced"), 0u);
+  tracer.clear();
+  EXPECT_EQ(countTraced("obs_test_kept"), 0u);
+}
+
+TEST_F(ObsTest, TracedBurstLongerThanTheRingIsKept) {
+  const RingOn ring;
+  const std::size_t burst = 4 * flight::detail::ringCapacity();
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  std::thread worker([&] {
+    for (std::size_t i = 0; i < burst; ++i) Span span("obs_test_burst");
+  });
+  worker.join();
+  EXPECT_EQ(countTraced("obs_test_burst"), burst);
+}
+
+TEST_F(ObsTest, SpansClosedOnAnExitedThreadStayInTheTrace) {
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  std::uint64_t id = 0;
+  std::thread worker([&] {
+    Span span("obs_test_exited");
+    id = span.id();
+  });
+  worker.join();
+  const std::vector<TraceEvent> events = tracer.snapshotEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "obs_test_exited");
+  EXPECT_EQ(events[0].id, id);
+  EXPECT_NE(id, 0u);
+}
+
+// Parent ids come from the enclosing Span objects, not from the ring's
+// bounded active-span stack, so they stay exact past its depth.
+TEST_F(ObsTest, ParentsAreExactPastTheActiveStackDepth) {
+  const RingOn ring;
+  constexpr int kDepth = 30;
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  std::vector<std::uint64_t> ids;
+  const std::function<void(int)> nest = [&](int depth) {
+    Span span("obs_test_depth_" + std::to_string(depth));
+    ids.push_back(span.id());
+    if (depth + 1 < kDepth) nest(depth + 1);
+  };
+  nest(0);
+  const std::vector<TraceEvent> events = tracer.snapshotEvents();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kDepth));
+  for (const TraceEvent& e : events) {
+    const int depth = std::stoi(e.name.substr(e.name.rfind('_') + 1));
+    EXPECT_EQ(e.id, ids[depth]);
+    EXPECT_EQ(e.parentId, depth == 0 ? 0u : ids[depth - 1]) << e.name;
+  }
+}
+
+// A trace cut at the per-thread cap says so: the overflow is counted in
+// the manifest's runtime counters.
+TEST_F(ObsTest, SpansPastThePerThreadCapAreCountedAsDropped) {
+  const MetricsRegistry& registry = MetricsRegistry::global();
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  const std::uint64_t before = registry.counterValue("obs_events_dropped");
+  std::thread worker([] {
+    for (std::size_t i = 0; i <= Tracer::kMaxEventsPerThread; ++i) {
+      Span span("obs_test_cap");
+    }
+  });
+  worker.join();
+  EXPECT_EQ(countTraced("obs_test_cap"), Tracer::kMaxEventsPerThread);
+  EXPECT_EQ(registry.counterValue("obs_events_dropped") - before, 1u);
+  RunManifestOptions options;
+  options.benchName = "obs_test_cap";
+  const std::string manifest = runManifestJson(options);
+  const std::string runtimeCounters = extractJsonObject(
+      extractJsonObject(manifest, "runtime_metrics"), "counters");
+  EXPECT_NE(runtimeCounters.find("\"obs_events_dropped\":"),
+            std::string::npos);
+  EXPECT_EQ(extractJsonObject(manifest, "metrics").find("obs_events_dropped"),
+            std::string::npos);
+}
+
+// snapshotEvents() and clear() may run while other threads close traced
+// spans; a reader must never see a slot its owner is reusing after a
+// clear (TSan checks the publication protocol; here every span read back
+// must be whole).
+TEST_F(ObsTest, SnapshotAndClearRaceWithTracedWriters) {
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        Span outer("obs_test_race_outer");
+        Span inner("obs_test_race_inner");
+      }
+    });
+  }
+  std::size_t torn = 0;
+  std::size_t seen = 0;
+  for (int i = 0; i < 50 || (seen < 10000 && i < 100000); ++i) {
+    const std::vector<TraceEvent> events = tracer.snapshotEvents();
+    seen += events.size();
+    for (const TraceEvent& e : events) {
+      const bool outer = e.name == "obs_test_race_outer";
+      if ((!outer && e.name != "obs_test_race_inner") || e.id == 0 ||
+          (outer && e.parentId != 0) || (!outer && e.parentId == 0)) {
+        ++torn;
+      }
+    }
+    if (i % 2 == 0) tracer.clear();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(torn, 0u);
+}
+
+// One record, one tid: the Chrome trace, the flight ring and the event log
+// name a thread the same way.
+TEST_F(ObsTest, TraceRingAndLogShareTheThreadId) {
+  const RingOn ring;
+  Tracer& tracer = Tracer::global();
+  tracer.setEnabled(true);
+  tracer.clear();
+  const std::string path = ::testing::TempDir() + "obs_test_tid_log.jsonl";
+  ASSERT_TRUE(util::atomicWriteFile(path, "").isOk());
+  EventLog::global().configure(path, LogLevel::kInfo);
+  std::uint32_t ringTid = 0;
+  std::thread worker([&] {
+    { Span span("obs_test_tid"); }
+    logEvent(LogLevel::kInfo, "test", "tid");
+    for (const flight::ThreadSnapshot& thread : flight::snapshot()) {
+      for (const flight::SnapshotEvent& event : thread.events) {
+        if (event.name == "obs_test_tid") ringTid = thread.tid;
+      }
+    }
+  });
+  worker.join();
+  EventLog::global().configure("", LogLevel::kInfo);
+
+  const util::Result<std::vector<TraceEvent>> trace =
+      parseChromeTrace(chromeTraceJson(tracer.snapshotEvents()));
+  ASSERT_TRUE(trace.ok());
+  ASSERT_EQ(trace.value().size(), 1u);
+  const std::uint32_t traceTid = trace.value()[0].tid;
+  const util::Result<std::string> log = util::readFile(path);
+  ASSERT_TRUE(log.ok());
+  long long logTid = 0;
+  ASSERT_TRUE(util::jsonIntField(log.value(), "tid", &logTid));
+  EXPECT_NE(traceTid, 0u);
+  EXPECT_EQ(ringTid, traceTid);
+  EXPECT_EQ(logTid, static_cast<long long>(traceTid));
 }
 
 TEST_F(ObsTest, ChromeTraceJsonIsWellFormedAndRoundTrips) {

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/timer.hpp"
 
 namespace sca::runtime {
 namespace {
@@ -124,13 +127,23 @@ TEST_F(RuntimeTest, ConfiguredThreadCountIsPositive) {
   EXPECT_GE(configuredThreadCount(), 1u);
 }
 
-TEST_F(RuntimeTest, PhaseTimerRecordsScope) {
-  { PhaseTimer timer("scoped"); }
+// A phase span is timed even with tracing and the flight ring both off:
+// the history record needs its phases in every run.
+TEST_F(RuntimeTest, PhaseSpanRecordsScopeWithRecordersOff) {
+  const bool ringWasOn = obs::flight::enabled();
+  obs::flight::detail::setEnabledForTest(false);
+  ASSERT_FALSE(obs::Tracer::global().enabled());
+  {
+    obs::Span phase("scoped", obs::kPhaseCategory);
+    EXPECT_EQ(phase.id(), 0u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  obs::flight::detail::setEnabledForTest(ringWasOn);
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::global().snapshot();
   const std::string gauge = std::string(obs::kPhaseGaugePrefix) + "scoped";
   ASSERT_EQ(snapshot.gauges.count(gauge), 1u);
-  EXPECT_GE(snapshot.gauges.at(gauge), 0.0);
+  EXPECT_GE(snapshot.gauges.at(gauge), 0.002);
 }
 
 }  // namespace

@@ -45,14 +45,23 @@
 # must reconstruct the lifecycles from the log, and macro_serve_load must
 # pass its load assertions and the history gate.
 #
-# Finally, an ASan+UBSan tree runs three focus groups: the zero-copy lexer
+# A flight-recorder smoke then runs the one-shot pipeline at 1 and 8
+# threads three ways — flight ring on, trace only (SCA_TRACE with
+# SCA_FLIGHT_EVENTS=0) and both off — and requires identical "[pipeline]"
+# lines and stable metrics; the trace-only trace must summarize with its
+# forest_fit and llm_chain_+N spans. A wedged task must trip the watchdog
+# and a SIGSEGV must leave a postmortem that `sca_cli postmortem` renders.
+#
+# Finally, an ASan+UBSan tree runs four focus groups: the zero-copy lexer
 # and arena parser (lexer_test, parser_fuzz_test, roundtrip_property_test),
 # whose string_view offsets and arena id arithmetic are exactly what
 # -fsanitize=address,undefined exists to check; the feature records
 # (features_test), whose term bags are offsets into one buffer behind an
-# open-addressing index; and the ML suites (ml_test, matrix_test,
+# open-addressing index; the ML suites (ml_test, matrix_test,
 # golden_test), whose forest-fit kernel is index ranges into one sample
-# buffer and count tables indexed by label.
+# buffer and count tables indexed by label; and the span recorder
+# (obs_test, flight_test), whose ring slots and chunked trace lists are
+# indexed by per-thread counters.
 #
 # Last, a perf-seed smoke runs the one-shot pipeline against the committed
 # seed baseline (tools/perf/seed_baseline.jsonl): `history check` must pass
@@ -500,7 +509,9 @@ checkpoint_resume_smoke
 
 # Flight-recorder smoke: the recorder's hard invariant is that it OBSERVES
 # without participating — stable output bytes are identical with the rings
-# and watchdog armed or disabled. Then both forensic paths are exercised
+# and watchdog armed, with only the trace recorded (SCA_TRACE and
+# SCA_FLIGHT_EVENTS=0: the per-thread records hold the trace without a
+# ring), and with both disabled. Then both forensic paths are exercised
 # for real: a wedged pool task must trip the watchdog dump, and a SIGSEGV
 # delivered mid-chaos-run must leave a postmortem the offline reconstructor
 # can render.
@@ -510,16 +521,20 @@ flight_smoke() {
   rm -rf "$dir" && mkdir -p "$dir"
   local cli=build-release/tools/sca_cli
 
-  # 1) Byte-identity: recorder+watchdog on vs recorder off, at 1 and 8
-  # threads. A clean run must also leave no watchdog dump behind.
+  # 1) Byte-identity at 1 and 8 threads: the recorder+watchdog on, and
+  # the trace alone (SCA_TRACE with the ring off), each against the
+  # recorder off. A clean run must also leave no watchdog dump behind, and
+  # the trace-only run's trace must summarize with its forest and chain
+  # spans.
   local t mode
   for t in 1 8; do
-    for mode in on off; do
-      local events=256
-      [ "$mode" = off ] && events=0
+    for mode in on off trace; do
+      local events=256 trace=
+      [ "$mode" = on ] || events=0
+      [ "$mode" = trace ] && trace="trace_t$t.json"
       (cd "$dir" &&
        SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_FAULT_RATE=0.05 \
-         SCA_CHECKPOINT_DIR= \
+         SCA_CHECKPOINT_DIR= SCA_TRACE="$trace" \
          SCA_FLIGHT_EVENTS=$events SCA_WATCHDOG_S=2 \
          SCA_FLIGHT_DIR="flight_t${t}_$mode" \
          SCA_MANIFEST="manifest_t${t}_$mode.json" \
@@ -528,12 +543,23 @@ flight_smoke() {
       "$cli" metrics "$dir/manifest_t${t}_$mode.json" --stable \
         > "$dir/stable_t${t}_$mode.json"
     done
-    cmp "$dir/pipeline_t${t}_on.txt" "$dir/pipeline_t${t}_off.txt" ||
-      { echo "flight smoke: recorder changed pipeline digests (t=$t)" >&2
+    for mode in on trace; do
+      cmp "$dir/pipeline_t${t}_$mode.txt" "$dir/pipeline_t${t}_off.txt" ||
+        { echo "flight smoke: $mode changed pipeline digests (t=$t)" >&2
+          exit 1; }
+      cmp "$dir/stable_t${t}_$mode.json" "$dir/stable_t${t}_off.json" ||
+        { echo "flight smoke: $mode changed stable metrics (t=$t)" >&2
+          exit 1; }
+    done
+    "$cli" trace "$dir/trace_t$t.json" --summary --top 0 \
+      > "$dir/trace_summary_t$t.txt" ||
+      { echo "flight smoke: trace-only trace does not summarize (t=$t)" >&2
         exit 1; }
-    cmp "$dir/stable_t${t}_on.json" "$dir/stable_t${t}_off.json" ||
-      { echo "flight smoke: recorder changed stable metrics (t=$t)" >&2
-        exit 1; }
+    for span in forest_fit 'llm_chain_+N'; do
+      grep -qF "  $span: " "$dir/trace_summary_t$t.txt" ||
+        { echo "flight smoke: trace-only trace lacks $span (t=$t)" >&2
+          exit 1; }
+    done
     if [ -e "$dir/flight_t${t}_on/watchdog.json" ]; then
       echo "flight smoke: watchdog dumped on a clean run (t=$t)" >&2
       exit 1
@@ -607,7 +633,7 @@ SCA_THREADS="${SCA_TSAN_THREADS:-4}" \
 SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
   run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
 
-# ASan+UBSan focused pass over three groups. The zero-copy lexer and the
+# ASan+UBSan focused pass over four groups. The zero-copy lexer and the
 # arena parser: every token is a string_view into a shared buffer and every
 # AST node an index into a pooled arena, so out-of-bounds views, misaligned
 # access and overflowing offset arithmetic are the realistic failure modes
@@ -618,12 +644,16 @@ SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
 # forest-fit kernel partitions [begin, end) ranges of one sample buffer
 # and indexes count tables by label and threshold, and the golden tests
 # drive it through owned, view and matrix-backed storage and pin the
-# feature matrix. The binaries run directly (not via ctest) because only
-# these seven targets are built in this tree.
+# feature matrix. The span recorder: a span's name is packed into fixed
+# slot words, ring slots are indexed modulo the capacity, and traced spans
+# land in chunked per-thread lists indexed by count (obs_test,
+# flight_test). The binaries run directly (not via ctest) because only
+# these nine targets are built in this tree.
 ubsan_focus() {
   local tests="lexer_test parser_fuzz_test roundtrip_property_test"
   tests+=" features_test ml_test matrix_test golden_test"
-  echo "=== configure build-asan-ubsan (lexer/parser, features and ML focus) ==="
+  tests+=" obs_test flight_test"
+  echo "=== configure build-asan-ubsan (lexer/parser, features, ML and recorder focus) ==="
   cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCA_SANITIZE=address+undefined
   echo "=== build build-asan-ubsan ==="
