@@ -1,5 +1,5 @@
-// Out-of-core corpus scale bench: generate, train and predict over a
-// feature matrix that is never fully resident.
+// Out-of-core corpus scale bench: generate a feature matrix that is never
+// fully resident, then train and predict over it.
 //
 // Flow (order matters — ru_maxrss is a process-lifetime high-water mark,
 // so the streaming phases run BEFORE any resident control work and the
@@ -14,18 +14,19 @@
 //              recorded as the stable counter scale_matrix_hash — equal
 //              bytes across shard sizes / thread counts / crash-resume
 //              cycles <=> equal counter,
-//   train      RandomForest on an index VIEW of the first train-authors'
-//              rows (no row copies; the view reads the mmap directly),
-//   predict    streaming predictAll over the full matrix under the
-//              residency budget; the fold of every vote is recorded as
-//              the stable counter scale_pred_hash,
-//   control    a strided sample of rows copied into an owned dataset and
-//              predicted through the resident path.
+//   train      RandomForest on an owned copy of the first train-authors'
+//              rows, whose pages are dropped once copied,
+//   predict    the full matrix in ~8 MiB row blocks, each copied out and
+//              predicted with predictAll(rows), its pages dropped as the
+//              block reader advances; the fold of every vote is recorded
+//              as the stable counter scale_pred_hash,
+//   control    a strided sample of rows, copied out in a second block pass
+//              and predicted in one call.
 //
 // Hard assertions (exit 1):
 //   * every control prediction is identical to the streaming prediction
-//     of the same row — the out-of-core path changes where bytes live,
-//     never what is computed;
+//     of the same row — how rows are batched and where they are read
+//     from never changes what is computed;
 //   * when the matrix is big enough for the comparison to mean anything
 //     (>= 16 MiB on disk), the streaming peak RSS is strictly below the
 //     estimated footprint of holding the corpus as owned rows — the bench
@@ -35,9 +36,12 @@
 // `sca_cli history check` flags an RSS regression across runs the same
 // way it flags a slowdown. SCA_SCALE_CRASH_SHARDS injects a mid-build
 // crash (nonzero exit, segments left behind) for the resume smoke test.
+// A malformed SCA_SCALE_* number exits 2 before any work.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,15 +67,6 @@ constexpr std::size_t kFitAuthors = 128;    // vocabulary seed cohort
 constexpr std::size_t kControlRows = 4096;  // resident-control sample cap
 constexpr std::size_t kRssCheckFloorBytes = std::size_t{16} << 20;
 
-std::size_t envSize(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  return end != raw && parsed > 0 ? static_cast<std::size_t>(parsed)
-                                  : fallback;
-}
-
 std::string mb(std::size_t bytes) {
   return util::formatDouble(static_cast<double>(bytes) / (1024.0 * 1024.0),
                             1);
@@ -89,25 +84,34 @@ double peakRssKb() {
 }  // namespace
 
 int main() {
-  bench::Session session("macro_scale");
-
-  const std::size_t authorCount = envSize("SCA_SCALE_AUTHORS", 50000);
-  // Each generating worker holds its shard's rows until the segment is
-  // written, so the streaming peak grows with shard size times threads.
-  // A sixteenth of the corpus keeps that working set well below the
-  // resident footprint the RSS assertion compares against; a 2,048-author
-  // shard at 4,000 authors held half the corpus per worker and failed it.
-  const std::size_t shardSize = envSize(
-      "SCA_SCALE_SHARD", std::clamp<std::size_t>(authorCount / 16, 64, 2048));
-  const std::size_t budgetBytes = envSize("SCA_SCALE_BUDGET_MB", 64) << 20;
-  const std::size_t trainAuthors =
-      std::min(envSize("SCA_SCALE_TRAIN_AUTHORS", 256), authorCount);
-  const std::size_t treeCount = envSize("SCA_SCALE_TREES", 16);
-  std::string outDir = "bench_out/scale";
+  corpus::ScaleConfig config;
+  config.year = kYear;
+  std::size_t trainAuthors = 0;
+  std::size_t treeCount = 0;
+  try {
+    config.authorCount = util::envSize("SCA_SCALE_AUTHORS", 50000);
+    // Shards are the unit of pool parallelism and of resume after a crash.
+    // A sixteenth of the corpus gives every worker several shards to
+    // balance, and a crash loses at most the shards in flight. Segments
+    // stream to disk author by author, so a worker holds one author's
+    // rows, not its shard.
+    config.shardSize = util::envSize(
+        "SCA_SCALE_SHARD",
+        std::clamp<std::size_t>(config.authorCount / 16, 64, 2048));
+    trainAuthors = std::min(util::envSize("SCA_SCALE_TRAIN_AUTHORS", 256),
+                            config.authorCount);
+    treeCount = util::envSize("SCA_SCALE_TREES", 16);
+    config.crashAfterShards = util::envSize("SCA_SCALE_CRASH_SHARDS", 0);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "macro_scale: " << e.what() << "\n";
+    return 2;
+  }
+  config.outDir = "bench_out/scale";
   if (const char* dir = std::getenv("SCA_SCALE_DIR");
       dir != nullptr && *dir != '\0') {
-    outDir = dir;
+    config.outDir = dir;
   }
+  bench::Session session("macro_scale");
 
   const std::vector<const corpus::Challenge*> challenges =
       corpus::challengesForYear(kYear);
@@ -119,7 +123,7 @@ int main() {
   {
     obs::Span phase("scale_fit", obs::kPhaseCategory);
     const std::vector<corpus::Author> seed = corpus::makeAuthorPopulation(
-        kYear, std::min(authorCount, kFitAuthors));
+        kYear, std::min(config.authorCount, kFitAuthors));
     std::vector<std::string> sources;
     sources.reserve(seed.size() * challenges.size());
     for (const corpus::Author& author : seed) {
@@ -131,13 +135,6 @@ int main() {
     }
     extractor.fit(sources);
   }
-
-  corpus::ScaleConfig config;
-  config.year = kYear;
-  config.authorCount = authorCount;
-  config.outDir = outDir;
-  config.shardSize = shardSize;
-  config.crashAfterShards = envSize("SCA_SCALE_CRASH_SHARDS", 0);
 
   corpus::ScaleBuildResult build;
   {
@@ -156,14 +153,13 @@ int main() {
 
   util::Result<ml::MatrixFile> opened = ml::MatrixFile::open(
       build.matrixPath,
-      corpus::yearMatrixMetaHash(extractor, kYear, authorCount));
+      corpus::yearMatrixMetaHash(extractor, kYear, config.authorCount));
   if (!opened.ok()) {
     std::cerr << "macro_scale: reopen failed: "
               << opened.status().toString() << "\n";
     return 1;
   }
   const ml::MatrixFile file = std::move(opened.value());
-  file.setResidencyBudget(budgetBytes);
 
   std::uint64_t matrixHash = 0;
   {
@@ -172,24 +168,41 @@ int main() {
   }
   obs::MetricsRegistry::global().counter("scale_matrix_hash").add(matrixHash);
 
-  const ml::Dataset full = ml::Dataset::fromMatrix(file);
-  std::vector<std::size_t> trainIdx(trainAuthors * challenges.size());
-  for (std::size_t i = 0; i < trainIdx.size(); ++i) trainIdx[i] = i;
-  const ml::Dataset trainView = full.subsetView(trainIdx);
-
   ml::ForestConfig forestConfig;
   forestConfig.treeCount = treeCount;
   forestConfig.seed = util::hash64("macro-scale-forest");
   ml::RandomForest forest(forestConfig);
+  ml::Dataset train;
   {
     obs::Span phase("scale_train", obs::kPhaseCategory);
-    forest.fit(trainView);
+    for (std::size_t i = 0; i < trainAuthors * challenges.size(); ++i) {
+      const std::span<const double> row = file.row(i);
+      train.x.emplace_back(row.begin(), row.end());
+      train.y.push_back(file.label(i));
+    }
+    file.dropResidency();
+    forest.fit(train);
   }
 
+  // Row blocks of ~8 MiB of payload; the reader drops each block's pages
+  // when it advances.
+  const std::size_t rowsPerBlock = std::max<std::size_t>(
+      1, (std::size_t{8} << 20) / (file.cols() * sizeof(double)));
   std::vector<int> streamed;
   {
     obs::Span phase("scale_predict_stream", obs::kPhaseCategory);
-    streamed = forest.predictAll(full);
+    streamed.reserve(file.rows());
+    std::vector<std::vector<double>> rows;
+    ml::RowBlockReader blocks(file, rowsPerBlock);
+    while (blocks.next()) {
+      rows.resize(blocks.endRow() - blocks.beginRow());
+      for (std::size_t i = blocks.beginRow(); i < blocks.endRow(); ++i) {
+        const std::span<const double> row = blocks.row(i);
+        rows[i - blocks.beginRow()].assign(row.begin(), row.end());
+      }
+      const std::vector<int> votes = forest.predictAll(rows);
+      streamed.insert(streamed.end(), votes.begin(), votes.end());
+    }
   }
   std::uint64_t predHash = util::hash64("scale-pred-v1");
   for (const int vote : streamed) {
@@ -198,8 +211,8 @@ int main() {
   obs::MetricsRegistry::global().counter("scale_pred_hash").add(predHash);
 
   std::size_t trainHits = 0;
-  for (const std::size_t i : trainIdx) {
-    if (streamed[i] == full.y[i]) ++trainHits;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    if (streamed[i] == train.y[i]) ++trainHits;
   }
 
   // Streaming peak, sampled BEFORE any resident work touches memory.
@@ -209,22 +222,32 @@ int main() {
   // What holding the corpus as owned rows would cost: payload plus
   // per-row vector bookkeeping (heap header + size/capacity/pointer).
   const std::size_t residentEstimate =
-      full.size() * (file.cols() * sizeof(double) + 48);
+      file.rows() * (file.cols() * sizeof(double) + 48);
 
-  // Resident control: strided row sample, copied into owned storage,
-  // predicted through the non-streaming path.
+  // Resident control: a strided row sample, copied out in a second block
+  // pass and predicted in one call.
   std::vector<std::size_t> controlIdx;
   {
     const std::size_t stride =
-        std::max<std::size_t>(1, full.size() / kControlRows);
-    for (std::size_t i = 0; i < full.size(); i += stride) {
+        std::max<std::size_t>(1, file.rows() / kControlRows);
+    for (std::size_t i = 0; i < file.rows(); i += stride) {
       controlIdx.push_back(i);
     }
   }
   std::size_t controlMismatches = 0;
   {
     obs::Span phase("scale_control", obs::kPhaseCategory);
-    const ml::Dataset control = full.subset(controlIdx);
+    std::vector<std::vector<double>> control;
+    control.reserve(controlIdx.size());
+    ml::RowBlockReader blocks(file, rowsPerBlock);
+    while (blocks.next()) {
+      while (control.size() < controlIdx.size() &&
+             controlIdx[control.size()] < blocks.endRow()) {
+        const std::span<const double> row =
+            blocks.row(controlIdx[control.size()]);
+        control.emplace_back(row.begin(), row.end());
+      }
+    }
     const std::vector<int> controlPreds = forest.predictAll(control);
     for (std::size_t j = 0; j < controlIdx.size(); ++j) {
       if (controlPreds[j] != streamed[controlIdx[j]]) ++controlMismatches;
@@ -238,7 +261,7 @@ int main() {
   util::TablePrinter table(
       "macro_scale: out-of-core corpus generate / train / predict");
   table.setHeader({"metric", "value"});
-  table.addRow({"authors", std::to_string(authorCount)});
+  table.addRow({"authors", std::to_string(config.authorCount)});
   table.addRow({"rows", std::to_string(build.rows)});
   table.addRow({"cols", std::to_string(build.cols)});
   table.addRow({"matrix_mb", mb(file.fileBytes())});
@@ -249,7 +272,7 @@ int main() {
   table.addRow({"train_authors", std::to_string(trainAuthors)});
   table.addRow({"train_acc_pct",
                 bench::pct(static_cast<double>(trainHits) /
-                           static_cast<double>(trainIdx.size()))});
+                           static_cast<double>(train.size()))});
   table.addSeparator();
   table.addRow({"stream_peak_rss_mb", mb(streamPeakBytes)});
   table.addRow({"resident_estimate_mb", mb(residentEstimate)});

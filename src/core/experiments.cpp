@@ -1,33 +1,17 @@
 #include "core/experiments.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
-#include <stdexcept>
 
 #include "ml/metrics.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
+#include "util/strings.hpp"
 
 namespace sca::core {
 namespace {
-
-std::size_t envSize(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const char* end = raw + std::strlen(raw);
-  std::size_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(raw, end, parsed);
-  if (ec != std::errc() || ptr != end || parsed == 0) {
-    throw std::invalid_argument(std::string(name) + "=" + raw +
-                                ": expected a positive integer");
-  }
-  return parsed;
-}
 
 std::size_t settingIndex(llm::Setting setting) {
   switch (setting) {
@@ -43,13 +27,13 @@ std::size_t settingIndex(llm::Setting setting) {
 
 ExperimentConfig ExperimentConfig::fromEnv() {
   ExperimentConfig config;
-  config.authorCount = envSize("SCA_AUTHORS", config.authorCount);
-  config.steps = envSize("SCA_STEPS", config.steps);
+  config.authorCount = util::envSize("SCA_AUTHORS", config.authorCount);
+  config.steps = util::envSize("SCA_STEPS", config.steps);
   config.chatgptSetPerChallenge =
-      envSize("SCA_SET", config.chatgptSetPerChallenge);
+      util::envSize("SCA_SET", config.chatgptSetPerChallenge);
   config.model.forest.treeCount =
-      envSize("SCA_TREES", config.model.forest.treeCount);
-  config.model.selectTopK = envSize("SCA_TOPK", config.model.selectTopK);
+      util::envSize("SCA_TREES", config.model.forest.treeCount);
+  config.model.selectTopK = util::envSize("SCA_TOPK", config.model.selectTopK);
   return config;
 }
 

@@ -188,19 +188,31 @@ util::Result<ScaleBuildResult> buildYearMatrix(
     }
     if (crashed.load(std::memory_order_relaxed)) return;
 
-    ml::MatrixWriter writer(cols, segMeta);
+    // The segment streams out one author at a time, so a worker holds one
+    // author's rows, not its whole shard.
+    ml::MatrixStreamWriter writer(segPath, segRows, cols, segMeta);
+    std::vector<double> values;
+    std::vector<std::int32_t> labels;
+    std::vector<std::int32_t> groups(perAuthor);
+    for (std::size_t c = 0; c < perAuthor; ++c) {
+      groups[c] = static_cast<std::int32_t>(c);
+    }
     for (std::size_t a = beginAuthor; a < endAuthor; ++a) {
+      values.clear();
       for (std::size_t c = 0; c < perAuthor; ++c) {
         const std::string source =
             renderSolution(authors[a], *challenges[c], config.year,
                            static_cast<int>(c));
         // Cache-bypassing extraction: each of the 10^5+ sources is seen
         // exactly once; memoizing them would hoard the matrix in RAM.
-        writer.appendRow(extractor.transformUncached(source),
-                         authors[a].id, static_cast<int>(c));
+        const std::vector<double> row = extractor.transformUncached(source);
+        values.insert(values.end(), row.begin(), row.end());
       }
+      labels.assign(perAuthor, authors[a].id);
+      shardStatus[shard] = writer.appendRows(values, labels, groups);
+      if (!shardStatus[shard].isOk()) return;
     }
-    shardStatus[shard] = writer.finish(segPath);
+    shardStatus[shard] = writer.finish();
     if (!shardStatus[shard].isOk()) return;
     shardsBuilt.add();
     const std::size_t built = fresh.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -45,10 +45,11 @@ struct YearDataset {
 // buildYearMatrix() is buildYearDataset() for corpora that do not fit in
 // memory: it renders the (author x challenge) grid in author-range shards
 // on the runtime pool, extracts features sample by sample through the
-// cache-bypassing extractor path, spills each shard as an atomically
-// landed sca-matrix-v1 segment (the segment IS the shard's crash
-// checkpoint, pinned by metaHash exactly like the llm chain checkpoints),
-// and streams the segments into one final matrix in author order.
+// cache-bypassing extractor path, streams each shard author by author into
+// an sca-matrix-v1 segment that lands by rename (the segment IS the shard's
+// crash checkpoint, pinned by metaHash exactly like the llm chain
+// checkpoints), and streams the segments into one final matrix in author
+// order.
 //
 // Determinism contract: the final file's bytes depend only on (year,
 // authorCount, extractor schema) — never on shard size, thread count, or
@@ -61,7 +62,8 @@ struct ScaleConfig {
   std::size_t authorCount = 204;
   /// Directory for segments and the final matrix (created if missing).
   std::string outDir;
-  /// Authors per generation shard (bounds one task's working set).
+  /// Authors per generation shard: the unit of pool parallelism and of
+  /// resume after a crash.
   std::size_t shardSize = 256;
   /// Test hook: abort the build (kInternal) after this many freshly built
   /// shards, leaving their segments behind for a resume. 0 = off.

@@ -3,21 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "ml/matrix.hpp"
-
 namespace sca::ml {
-
-std::size_t Dataset::size() const noexcept {
-  if (base != nullptr) return baseIndices.size();
-  if (matrix != nullptr) return matrix->rows();
-  return x.size();
-}
-
-std::size_t Dataset::dimension() const noexcept {
-  if (base != nullptr) return base->dimension();
-  if (matrix != nullptr) return matrix->cols();
-  return x.empty() ? 0 : x[0].size();
-}
 
 int Dataset::classCount() const {
   int maxLabel = -1;
@@ -25,86 +11,14 @@ int Dataset::classCount() const {
   return maxLabel + 1;
 }
 
-std::span<const double> Dataset::row(std::size_t i) const {
-  if (base != nullptr) return base->row(baseIndices[i]);
-  if (matrix != nullptr) return matrix->row(i);
-  return x[i];
-}
-
-Dataset Dataset::fromMatrix(const MatrixFile& file) {
-  Dataset out;
-  out.matrix = &file;
-  out.y.reserve(file.rows());
-  out.groups.reserve(file.rows());
-  for (std::size_t i = 0; i < file.rows(); ++i) {
-    out.y.push_back(file.label(i));
-    out.groups.push_back(file.group(i));
-  }
-  return out;
-}
-
-Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
-  Dataset out;
-  out.x.reserve(indices.size());
-  out.y.reserve(indices.size());
-  if (!groups.empty()) out.groups.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    const std::span<const double> r = row(i);
-    out.x.emplace_back(r.begin(), r.end());
-    out.y.push_back(y[i]);
-    if (!groups.empty()) out.groups.push_back(groups[i]);
-  }
-  return out;
-}
-
-Dataset Dataset::subsetView(const std::vector<std::size_t>& indices) const {
-  Dataset out;
-  if (base != nullptr) {
-    // Flatten: compose through to the root so view chains never deepen.
-    out.base = base;
-    out.baseIndices.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      out.baseIndices.push_back(baseIndices[i]);
-    }
-  } else {
-    out.base = this;
-    out.baseIndices = indices;
-  }
-  out.y.reserve(indices.size());
-  if (!groups.empty()) out.groups.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    out.y.push_back(y[i]);
-    if (!groups.empty()) out.groups.push_back(groups[i]);
-  }
-  return out;
-}
-
 void Dataset::validate() const {
-  if (base != nullptr && matrix != nullptr) {
-    throw std::invalid_argument("dataset: both view and matrix storage set");
-  }
-  if ((base != nullptr || matrix != nullptr) && !x.empty()) {
-    throw std::invalid_argument("dataset: owned rows in borrowed mode");
-  }
   if (size() != y.size()) {
     throw std::invalid_argument("dataset: |rows| != |y|");
   }
-  if (!groups.empty() && groups.size() != size()) {
-    throw std::invalid_argument("dataset: |groups| != |rows|");
-  }
-  if (base != nullptr) {
-    const std::size_t baseSize = base->size();
-    for (const std::size_t i : baseIndices) {
-      if (i >= baseSize) {
-        throw std::invalid_argument("dataset: view index out of range");
-      }
-    }
-  } else if (matrix == nullptr) {
-    const std::size_t dims = dimension();
-    for (const auto& r : x) {
-      if (r.size() != dims) {
-        throw std::invalid_argument("dataset: ragged feature matrix");
-      }
+  const std::size_t dims = dimension();
+  for (const auto& r : x) {
+    if (r.size() != dims) {
+      throw std::invalid_argument("dataset: ragged feature matrix");
     }
   }
   for (const int label : y) {

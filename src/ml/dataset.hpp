@@ -1,67 +1,26 @@
-// Dense labelled dataset for the classifiers.
-//
-// Three storage modes behind one row() accessor, so the tree/forest code
-// is a single algorithm regardless of where the feature payload lives:
-//
-//   * owned  — `x` holds the rows (the original, and still the default).
-//   * matrix — rows live in an mmap'ed MatrixFile (matrix.hpp); `x` stays
-//     empty and row(i) is a zero-copy span into the mapping. Labels and
-//     groups ARE materialized (8 bytes/row) so every existing consumer of
-//     `y`/`groups` keeps working; only the 8*cols-byte feature payload is
-//     borrowed.
-//   * view   — rows live in another Dataset; `baseIndices` maps view row
-//     i to base row baseIndices[i]. subsetView() builds these in O(k)
-//     without copying a single double — the fix for the LOGO-CV fold
-//     row-copy hot spot. Views flatten: a view of a view points at the
-//     root base, so indirection depth stays 1.
-//
-// Lifetime: borrowed modes do not own their storage. A matrix-backed
-// Dataset must not outlive its MatrixFile; a view must not outlive its
-// base (and the base must not be mutated or moved while views exist).
-// subset() still returns a fully owned copy for callers that need one.
+// Dense labelled dataset for the classifiers: owned feature rows and their
+// class labels. Matrices larger than memory stay in an sca-matrix-v1 file
+// (matrix.hpp); a caller copies the rows it trains or predicts on into a
+// Dataset or a row vector.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace sca::ml {
 
-class MatrixFile;
-
 struct Dataset {
-  std::vector<std::vector<double>> x;  // owned rows (empty in borrowed modes)
+  std::vector<std::vector<double>> x;  // one feature row per sample
   std::vector<int> y;                  // class labels, contiguous from 0
-  std::vector<int> groups;             // optional fold groups (challenge id)
 
-  // Borrowed storage (at most one non-null; see file comment).
-  const MatrixFile* matrix = nullptr;
-  const Dataset* base = nullptr;
-  std::vector<std::size_t> baseIndices;
-
-  [[nodiscard]] std::size_t size() const noexcept;
-  [[nodiscard]] std::size_t dimension() const noexcept;
+  [[nodiscard]] std::size_t size() const noexcept { return x.size(); }
+  [[nodiscard]] std::size_t dimension() const noexcept {
+    return x.empty() ? 0 : x[0].size();
+  }
   [[nodiscard]] int classCount() const;
 
-  /// One row's features, wherever they live. Valid until the backing
-  /// storage (this->x, *base, or *matrix) is destroyed or mutated.
-  [[nodiscard]] std::span<const double> row(std::size_t i) const;
-
-  /// Borrows `file`: zero-copy rows, materialized labels/groups.
-  [[nodiscard]] static Dataset fromMatrix(const MatrixFile& file);
-
-  /// Row subset (copies rows). `groups` follows when present. Works from
-  /// any storage mode and always returns an owned dataset.
-  [[nodiscard]] Dataset subset(const std::vector<std::size_t>& indices) const;
-
-  /// Index view: no row copies, labels/groups materialized. The result
-  /// borrows this dataset's storage (flattened — viewing a view borrows
-  /// the root), so `this` must outlive it.
-  [[nodiscard]] Dataset subsetView(
-      const std::vector<std::size_t>& indices) const;
-
-  /// Checks shape and label/group lengths for the active storage mode;
-  /// throws on violation.
+  /// Checks that every row has the same width, that there is one label
+  /// per row and that no label is negative; throws on violation.
   void validate() const;
 };
 

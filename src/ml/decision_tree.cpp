@@ -189,7 +189,7 @@ class NodeKernel {
     std::fill_n(lo_.begin(), width, std::numeric_limits<double>::infinity());
     std::fill_n(hi_.begin(), width, -std::numeric_limits<double>::infinity());
     for (std::size_t j = 0; j < size_; ++j) {
-      const std::span<const double> row = data_.row(samples_[begin_ + j]);
+      const std::vector<double>& row = data_.x[samples_[begin_ + j]];
       for (std::size_t a = 0; a < width; ++a) {
         const double value = row[features[a]];
         block_[a * size_ + j] = value;

@@ -6,17 +6,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
-#include <stdexcept>
 
 #include "obs/flight.hpp"
 #include "util/codec.hpp"
-#include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace sca::ml {
@@ -56,10 +52,6 @@ std::string encodeHeader(std::size_t rows, std::size_t cols,
   return out;
 }
 
-void appendRaw(std::string& out, const void* data, std::size_t bytes) {
-  out.append(static_cast<const char*>(data), bytes);
-}
-
 util::Status errnoStatus(const std::string& what) {
   return util::Status(util::StatusCode::kInternal,
                       what + ": " + std::strerror(errno));
@@ -81,33 +73,6 @@ util::Status writeAll(int fd, const void* data, std::size_t bytes,
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ MatrixWriter
-
-MatrixWriter::MatrixWriter(std::size_t cols, std::uint64_t metaHash)
-    : cols_(cols), metaHash_(metaHash) {}
-
-void MatrixWriter::appendRow(std::span<const double> row, int label,
-                             int group) {
-  if (row.size() != cols_) {
-    throw std::invalid_argument("MatrixWriter: row width " +
-                                std::to_string(row.size()) + " != cols " +
-                                std::to_string(cols_));
-  }
-  appendRaw(data_, row.data(), row.size() * sizeof(double));
-  labels_.push_back(label);
-  groups_.push_back(group);
-}
-
-util::Status MatrixWriter::finish(const std::string& path) {
-  std::string content = encodeHeader(labels_.size(), cols_, metaHash_);
-  content.reserve(content.size() + data_.size() + labels_.size() * 8);
-  content += data_;
-  appendRaw(content, labels_.data(), labels_.size() * sizeof(std::int32_t));
-  appendRaw(content, groups_.data(), groups_.size() * sizeof(std::int32_t));
-  data_.clear();
-  return util::atomicWriteFile(path, content);
-}
 
 // ------------------------------------------------------ MatrixStreamWriter
 
@@ -195,18 +160,6 @@ util::Status MatrixStreamWriter::finish() {
 
 // -------------------------------------------------------------- MatrixFile
 
-/// Mutable LRU over fixed-size chunks of the f64 payload. Guarded by one
-/// mutex — the fast path (row stays within the thread's last-touched
-/// chunks) never takes it; see MatrixFile::row().
-struct MatrixFile::Residency {
-  std::mutex mutex;
-  std::size_t chunkBytes = 0;
-  std::atomic<std::size_t> maxChunks{0};  // 0 = unbudgeted
-  std::vector<std::uint32_t> lru;         // most recently used at back
-};
-
-MatrixFile::MatrixFile() = default;
-
 MatrixFile::~MatrixFile() {
   if (map_ != nullptr) {
     ::munmap(const_cast<char*>(map_), mapBytes_);
@@ -227,7 +180,6 @@ MatrixFile& MatrixFile::operator=(MatrixFile&& other) noexcept {
     dataOffset_ = other.dataOffset_;
     labelsOffset_ = other.labelsOffset_;
     groupsOffset_ = other.groupsOffset_;
-    residency_ = std::move(other.residency_);
     other.map_ = nullptr;
     other.mapBytes_ = 0;
     other.rows_ = other.cols_ = 0;
@@ -272,9 +224,10 @@ util::Result<MatrixFile> MatrixFile::open(const std::string& path,
   const std::uint64_t labelsOffset = r.u64();
   const std::uint64_t groupsOffset = r.u64();
   if (!r.ok() || magic != kMatrixMagic) return corrupt("bad magic");
-  // Overflow-safe shape check: each dimension must already fit the file.
+  // Overflow-safe shape check: each dimension must already fit the file,
+  // and so must their product (compared by division, never multiplied).
   if (cols == 0 || rows > size || cols > size ||
-      rows * cols > size / 8 + 1) {
+      (rows != 0 && cols > (size / 8 + 1) / rows)) {
     return corrupt("implausible shape");
   }
   if (dataOffset != kHeaderBytes ||
@@ -295,56 +248,6 @@ util::Result<MatrixFile> MatrixFile::open(const std::string& path,
   return file;
 }
 
-std::span<const double> MatrixFile::row(std::size_t i) const {
-  const std::size_t rowBytes = cols_ * sizeof(double);
-  const std::size_t offset = dataOffset_ + i * rowBytes;
-  Residency* res = residency_.get();
-  if (res != nullptr &&
-      res->maxChunks.load(std::memory_order_relaxed) > 0) {
-    const std::uint32_t first =
-        static_cast<std::uint32_t>((offset - dataOffset_) / res->chunkBytes);
-    const std::uint32_t last = static_cast<std::uint32_t>(
-        (offset - dataOffset_ + rowBytes - 1) / res->chunkBytes);
-    // Fast path: this thread already touched these chunks last time.
-    static thread_local const Residency* cachedRes = nullptr;
-    static thread_local std::uint64_t cachedChunks = ~std::uint64_t{0};
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(first) << 32) | last;
-    if (cachedRes != res || cachedChunks != key) {
-      cachedRes = res;
-      cachedChunks = key;
-      std::lock_guard<std::mutex> lock(res->mutex);
-      const std::size_t maxChunks =
-          res->maxChunks.load(std::memory_order_relaxed);
-      for (std::uint32_t chunk = first; chunk <= last; ++chunk) {
-        const auto it =
-            std::find(res->lru.begin(), res->lru.end(), chunk);
-        if (it != res->lru.end()) res->lru.erase(it);
-        res->lru.push_back(chunk);
-      }
-      while (res->lru.size() > maxChunks) {
-        const std::uint32_t victim = res->lru.front();
-        res->lru.erase(res->lru.begin());
-        // Evict whole pages strictly inside the victim chunk; boundary
-        // pages shared with neighbours stay (at most one page each).
-        const std::size_t page = pageSize();
-        const std::size_t chunkBegin =
-            dataOffset_ + std::size_t{victim} * res->chunkBytes;
-        const std::size_t chunkEnd =
-            std::min(chunkBegin + res->chunkBytes, labelsOffset_);
-        const std::size_t alignedBegin =
-            (chunkBegin + page - 1) / page * page;
-        const std::size_t alignedEnd = chunkEnd / page * page;
-        if (alignedEnd > alignedBegin) {
-          ::madvise(const_cast<char*>(map_) + alignedBegin,
-                    alignedEnd - alignedBegin, MADV_DONTNEED);
-        }
-      }
-    }
-  }
-  return {reinterpret_cast<const double*>(map_ + offset), cols_};
-}
-
 int MatrixFile::label(std::size_t i) const {
   std::int32_t value = 0;
   std::memcpy(&value, map_ + labelsOffset_ + i * 4, 4);
@@ -357,29 +260,6 @@ int MatrixFile::group(std::size_t i) const {
   return value;
 }
 
-void MatrixFile::setResidencyBudget(std::size_t bytes) const {
-  auto* self = const_cast<MatrixFile*>(this);
-  if (self->residency_ == nullptr) {
-    self->residency_ = std::make_unique<Residency>();
-  }
-  Residency& res = *self->residency_;
-  std::lock_guard<std::mutex> lock(res.mutex);
-  const std::size_t page = pageSize();
-  res.chunkBytes = std::max<std::size_t>(page, (std::size_t{1} << 20));
-  res.maxChunks.store(
-      bytes == 0 ? 0
-                 : std::max<std::size_t>(
-                       2, (bytes + res.chunkBytes - 1) / res.chunkBytes),
-      std::memory_order_relaxed);
-  res.lru.clear();
-}
-
-std::size_t MatrixFile::residentChunks() const {
-  if (residency_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(residency_->mutex);
-  return residency_->lru.size();
-}
-
 void MatrixFile::dropResidency() const {
   if (map_ == nullptr || labelsOffset_ <= dataOffset_) return;
   const std::size_t page = pageSize();
@@ -387,10 +267,6 @@ void MatrixFile::dropResidency() const {
   const std::size_t end = labelsOffset_ / page * page;
   if (end > begin) {
     ::madvise(const_cast<char*>(map_) + begin, end - begin, MADV_DONTNEED);
-  }
-  if (residency_ != nullptr) {
-    std::lock_guard<std::mutex> lock(residency_->mutex);
-    residency_->lru.clear();
   }
 }
 

@@ -1,11 +1,10 @@
-// Out-of-core feature matrices: the sca-matrix-v1 on-disk format plus an
-// mmap-backed reader with a bounded residency budget.
+// Out-of-core feature matrices: the sca-matrix-v1 on-disk format, its
+// streaming writer and an mmap-backed reader.
 //
 // The paper's 204-authors-per-year corpus fits in RAM; the production
 // north-star (10^5-10^6 authors) does not. This module is the storage layer
-// that lets corpus generation spill feature rows to disk and lets the
-// forest train and predict over them without ever holding the full matrix
-// resident.
+// that lets corpus generation spill feature rows to disk and lets a caller
+// scan them in row blocks without ever holding the full matrix resident.
 //
 // File layout (all integers little-endian via the cache/codec primitives;
 // doubles are IEEE-754 bit patterns, so rows round-trip bit for bit):
@@ -28,33 +27,27 @@
 // reader rejects a file whose hash disagrees with what the caller expects
 // — a stale segment costs a recompute, never silent wrong data.
 //
-// Writers are crash-safe. MatrixWriter buffers one segment in memory and
-// lands it with util::atomicWriteFile (temp + rename), which bounds its
-// use to shard-sized segments. MatrixStreamWriter streams row blocks
-// straight to a temp fd and renames on finish, so the merge of a 10^5-row
-// matrix never holds more than one block plus the label/group side arrays
-// resident; a kill leaves the previous file (or a dead .tmp that the next
-// run overwrites), never a torn target.
+// MatrixStreamWriter is the one writer. It streams row blocks straight to
+// a temp fd and renames on finish, so writing a 10^5-row matrix never
+// holds more than one block plus the label/group side arrays resident; a
+// kill leaves the previous file (or a dead .tmp that the next run
+// overwrites), never a torn target.
 //
 // MatrixFile maps the whole file PROT_READ/MAP_PRIVATE and serves
 // std::span<const double> row views straight into the mapping — no copy,
-// no per-row allocation. Touched pages count toward RSS, so for scans
-// larger than memory the caller sets a residency budget: row() then
-// tracks fixed-size chunks of the data region in LRU order and
-// madvise(MADV_DONTNEED)s evicted chunks, which drops their pages from
-// the process (values are unchanged — a refault rereads the same bytes
-// from the page cache or disk). Eviction is safe under concurrent
-// readers; the only cost of an unlucky eviction is a refault.
+// no per-row allocation. Touched pages count toward RSS, so every read of
+// the payload ends with its pages dropped: RowBlockReader drops them as
+// it advances, and a caller that reads rows directly calls
+// dropResidency() when it is done (madvise(MADV_DONTNEED); values are
+// unchanged — a refault rereads the same bytes from the page cache or
+// disk).
 //
 // Lifetime rules: spans returned by row() point into the mapping and are
-// valid until the MatrixFile is destroyed or moved-from. A Dataset in
-// matrix-backed mode (dataset.hpp) borrows the MatrixFile the same way
-// and must not outlive it.
+// valid until the MatrixFile is destroyed or moved-from.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,32 +58,9 @@ namespace sca::ml {
 
 inline constexpr std::string_view kMatrixMagic = "sca-matrix-v1";
 
-/// In-memory segment writer: append rows, then land the whole file with
-/// one atomic temp+rename write. Intended for shard-sized segments (the
-/// buffer holds the full segment); use MatrixStreamWriter for merges.
-class MatrixWriter {
- public:
-  MatrixWriter(std::size_t cols, std::uint64_t metaHash);
-
-  /// Appends one row; throws std::invalid_argument on a width mismatch.
-  void appendRow(std::span<const double> row, int label, int group);
-
-  [[nodiscard]] std::size_t rows() const noexcept { return labels_.size(); }
-
-  /// Atomically writes the complete file. The writer is spent afterwards.
-  [[nodiscard]] util::Status finish(const std::string& path);
-
- private:
-  std::size_t cols_;
-  std::uint64_t metaHash_;
-  std::string data_;  // packed f64 payload
-  std::vector<std::int32_t> labels_;
-  std::vector<std::int32_t> groups_;
-};
-
-/// Streaming writer for large matrices: the row count is declared up
-/// front, the f64 payload goes straight to a temp file in row order, and
-/// finish() appends the label/group arrays and renames over the target.
+/// Streaming writer: the row count is declared up front, the f64 payload
+/// goes straight to a temp file in row order, and finish() appends the
+/// label/group arrays and renames over the target.
 /// Peak memory is one caller-side row block plus 8 bytes per row of side
 /// arrays, independent of the matrix size.
 class MatrixStreamWriter {
@@ -123,10 +93,10 @@ class MatrixStreamWriter {
 };
 
 /// Read side: maps the whole file and validates the header. See the file
-/// comment for the residency-budget semantics.
+/// comment for the page rule.
 class MatrixFile {
  public:
-  MatrixFile();  // out of line: members need the Residency definition
+  MatrixFile() = default;
   ~MatrixFile();
   MatrixFile(MatrixFile&& other) noexcept;
   MatrixFile& operator=(MatrixFile&& other) noexcept;
@@ -146,19 +116,15 @@ class MatrixFile {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Zero-copy view of one row (valid while the file is open).
-  [[nodiscard]] std::span<const double> row(std::size_t i) const;
+  [[nodiscard]] std::span<const double> row(std::size_t i) const {
+    return {reinterpret_cast<const double*>(map_ + dataOffset_ +
+                                            i * cols_ * sizeof(double)),
+            cols_};
+  }
   [[nodiscard]] int label(std::size_t i) const;
   [[nodiscard]] int group(std::size_t i) const;
 
-  /// Caps the resident footprint of the f64 payload to ~`bytes` (rounded
-  /// up to whole chunks; 0 disables the budget). Thread-safe; evictions
-  /// madvise(MADV_DONTNEED) full chunks of the data region.
-  void setResidencyBudget(std::size_t bytes) const;
-
-  /// Chunks currently tracked as resident (tests; 0 when unbudgeted).
-  [[nodiscard]] std::size_t residentChunks() const;
-
-  /// Drops the whole data region from the process immediately.
+  /// Drops the whole data region's pages from the process.
   void dropResidency() const;
 
   /// The complete mapped file (header included) — for whole-file hashing
@@ -168,8 +134,6 @@ class MatrixFile {
   }
 
  private:
-  struct Residency;
-
   std::string path_;
   const char* map_ = nullptr;
   std::size_t mapBytes_ = 0;
@@ -179,7 +143,6 @@ class MatrixFile {
   std::size_t dataOffset_ = 0;
   std::size_t labelsOffset_ = 0;
   std::size_t groupsOffset_ = 0;
-  std::unique_ptr<Residency> residency_;  // lazily sized, mutable state
 };
 
 /// Sequential block cursor over a MatrixFile: rows [begin,end) of the

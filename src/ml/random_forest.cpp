@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ml/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
@@ -41,8 +40,9 @@ void RandomForest::fit(const Dataset& data) {
                                   static_cast<double>(data.size())));
 
   // Trees go through the shared pool (nested-guard aware: a forest fitted
-  // inside a parallel CV fold runs its trees serially on that fold's
-  // worker). Seeds are pre-derived per tree, so scheduling never matters.
+  // inside one of core/experiments' parallel folds runs its trees serially
+  // on that fold's worker). Seeds are pre-derived per tree, so scheduling
+  // never matters.
   runtime::ParallelOptions options;
   options.maxWorkers = config_.threads;
   runtime::parallelFor(
@@ -57,11 +57,10 @@ void RandomForest::fit(const Dataset& data) {
         // The bootstrap is emitted in ascending row order, each row as
         // often as it was drawn: the sorted draw sequence, without a sort.
         // Ascending order turns every node's row accesses into a forward
-        // scan — sequential page faults on mmap-backed datasets. It cannot
-        // change the fitted tree: per-node class counts, gini, feature
-        // min/max, the sorted exact sweep, and the RNG draw order are all
-        // invariant under sample permutation, and the partition step
-        // preserves whatever order it is given.
+        // scan of `data.x`. It cannot change the fitted tree: per-node
+        // class counts, gini, feature min/max, the sorted exact sweep, and
+        // the RNG draw order are all invariant under sample permutation,
+        // and the partition step preserves whatever order it is given.
         std::vector<std::size_t> bootstrap;
         bootstrap.reserve(bootstrapSize);
         for (std::size_t row = 0; row < draws.size(); ++row) {
@@ -149,39 +148,6 @@ std::vector<int> RandomForest::predictAll(
   runtime::parallelFor(
       0, rows.size(), [&](std::size_t i) { out[i] = predict(rows[i]); },
       options);
-  return out;
-}
-
-std::vector<int> RandomForest::predictAll(const Dataset& data) const {
-  obs::Span span("forest_predict", "ml");
-  static obs::Counter rowsPredicted =
-      obs::MetricsRegistry::global().counter("ml_rows_predicted");
-  rowsPredicted.add(data.size());
-  std::vector<int> out(data.size(), 0);
-  runtime::ParallelOptions options;
-  options.maxWorkers = config_.threads;
-  options.grain = 16;  // one row is microseconds; batch them
-  const auto predictRange = [&](std::size_t begin, std::size_t end) {
-    runtime::parallelFor(
-        begin, end, [&](std::size_t i) { out[i] = predict(data.row(i)); },
-        options);
-  };
-  if (data.matrix != nullptr) {
-    // Sequential blocks over the mapped matrix: each block's pages are
-    // dropped before the next is touched, so prediction over a matrix
-    // larger than memory keeps roughly one block resident. Row blocks
-    // target ~8 MiB of payload each.
-    const std::size_t rowBytes = std::max<std::size_t>(
-        1, data.matrix->cols() * sizeof(double));
-    const std::size_t rowsPerBlock =
-        std::max<std::size_t>(1, (std::size_t{8} << 20) / rowBytes);
-    RowBlockReader blocks(*data.matrix, rowsPerBlock);
-    while (blocks.next()) {
-      predictRange(blocks.beginRow(), blocks.endRow());
-    }
-  } else {
-    predictRange(0, data.size());
-  }
   return out;
 }
 

@@ -33,16 +33,11 @@ class RandomForest {
   [[nodiscard]] int predict(const std::vector<double>& features) const {
     return predict(std::span<const double>(features));
   }
+  /// One vote per row, in row order. Each vote is a pure function of its
+  /// row and the trained trees, so the output is the same at any thread
+  /// count and for any split of a matrix into row blocks.
   [[nodiscard]] std::vector<int> predictAll(
       const std::vector<std::vector<double>>& rows) const;
-
-  /// Streaming prediction over any Dataset storage mode. Matrix-backed
-  /// datasets are walked in sequential row blocks (previous block's pages
-  /// dropped as the cursor advances), so the working set stays bounded for
-  /// corpora larger than memory. Output is byte-identical to the resident
-  /// path at any thread count: each row's vote is a pure function of that
-  /// row and the trained trees.
-  [[nodiscard]] std::vector<int> predictAll(const Dataset& data) const;
 
   /// Per-class vote fractions for one sample (sums to 1).
   [[nodiscard]] std::vector<double> predictProba(

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 
 namespace sca::util {
 namespace {
@@ -236,6 +238,19 @@ bool parseHex64(std::string_view text, std::uint64_t* out) {
   return true;
 }
 
+std::size_t envSize(const char* name, std::size_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const char* end = raw + std::strlen(raw);
+  std::size_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(raw, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed == 0) {
+    throw std::invalid_argument(std::string(name) + "=" + raw +
+                                ": expected a positive integer");
+  }
+  return parsed;
+}
+
 bool jsonStringField(std::string_view record, std::string_view field,
                      std::string* out) {
   const std::string needle = "\"" + std::string(field) + "\":\"";
@@ -266,18 +281,13 @@ bool jsonIntField(std::string_view record, std::string_view field,
   const std::string needle = "\"" + std::string(field) + "\":";
   const std::size_t start = record.find(needle);
   if (start == std::string_view::npos) return false;
-  std::size_t i = start + needle.size();
-  bool negative = false;
-  if (i < record.size() && record[i] == '-') {
-    negative = true;
-    ++i;
-  }
-  if (i >= record.size() || record[i] < '0' || record[i] > '9') return false;
+  const char* const end = record.data() + record.size();
   long long value = 0;
-  for (; i < record.size() && record[i] >= '0' && record[i] <= '9'; ++i) {
-    value = value * 10 + (record[i] - '0');
+  if (std::from_chars(record.data() + start + needle.size(), end, value).ec !=
+      std::errc()) {
+    return false;
   }
-  *out = negative ? -value : value;
+  *out = value;
   return true;
 }
 

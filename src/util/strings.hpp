@@ -64,6 +64,11 @@ namespace sca::util {
 /// length or character mismatch, `*out` untouched.
 [[nodiscard]] bool parseHex64(std::string_view text, std::uint64_t* out);
 
+/// The positive integer in environment variable `name`, or `fallback` when
+/// it is unset or empty. Anything else (`16x`, `abc`, `0`, `-1`, overflow)
+/// throws std::invalid_argument naming the variable and its value.
+[[nodiscard]] std::size_t envSize(const char* name, std::size_t fallback);
+
 // ------------------------------------------------ line-record JSON idioms --
 // The checkpoint, cache-index and bench-telemetry files are all JSONL: one
 // self-contained object per line, written by JsonObjectBuilder and read
@@ -78,8 +83,8 @@ namespace sca::util {
 [[nodiscard]] bool jsonStringField(std::string_view record,
                                    std::string_view field, std::string* out);
 
-/// Extracts the integer value of `"field":123`. False when absent or
-/// non-numeric.
+/// Extracts the integer value of `"field":123`. False when absent,
+/// non-numeric or outside the range of long long.
 [[nodiscard]] bool jsonIntField(std::string_view record,
                                 std::string_view field, long long* out);
 

@@ -12,13 +12,15 @@
 //     SCA_STEPS=4 SCA_TREES=20, one digest per table over every value the
 //     table prints.
 //   * The fitted forest itself: the saved text of forests fitted in each
-//     split mode from owned rows, an index view and a matrix-backed view,
-//     and of tie-heavy forests whose split searches are decided by exact
-//     ties and last-bit rounding. Two forests can score the same
+//     split mode, and of tie-heavy forests whose split searches are
+//     decided by exact ties and last-bit rounding. Two forests can score the same
 //     accuracy; only this pins the trees.
 //   * The feature matrix: fitted vocabularies and every transformed bit
 //     over a small year slice plus edge sources, under each family switch
 //     and a narrow vocabulary, and the selector's information gains.
+//   * The out-of-core matrix: the bytes corpus::buildYearMatrix writes at
+//     the CI scale-smoke shape, and the votes of a forest trained and
+//     predicted on its rows the way bench/macro_scale does.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -32,6 +34,8 @@
 #include "core/attribution_model.hpp"
 #include "core/binary.hpp"
 #include "core/experiments.hpp"
+#include "corpus/authors.hpp"
+#include "corpus/challenges.hpp"
 #include "corpus/dataset.hpp"
 #include "features/extractor.hpp"
 #include "features/selection.hpp"
@@ -250,27 +254,13 @@ std::string forestDigest(const ml::Dataset& data,
 
 TEST(Golden, ForestFitMatchesPinnedStructure) {
   const ml::Dataset all = forestEdgeCases();
-  std::vector<std::size_t> train;
+  ml::Dataset train;
   for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i % 4 != 3 || all.y[i] == 7) train.push_back(i);
+    if (i % 4 != 3 || all.y[i] == 7) {
+      train.x.push_back(all.x[i]);
+      train.y.push_back(all.y[i]);
+    }
   }
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sca_golden_forest.mtx")
-          .string();
-  ml::MatrixWriter writer(all.dimension(), 1);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    writer.appendRow(all.row(i), all.y[i], 0);
-  }
-  ASSERT_TRUE(writer.finish(path).isOk());
-  auto opened = ml::MatrixFile::open(path, 1);
-  ASSERT_TRUE(opened.ok()) << opened.status().toString();
-  opened.value().setResidencyBudget(4096);  // evicts during the fit
-  const ml::Dataset mapped = ml::Dataset::fromMatrix(opened.value());
-
-  const ml::Dataset owned = all.subset(train);
-  const ml::Dataset view = all.subsetView(train);
-  const ml::Dataset matrixView = mapped.subsetView(train);
 
   ml::ForestConfig randomized;
   randomized.treeCount = 16;
@@ -289,12 +279,8 @@ TEST(Golden, ForestFitMatchesPinnedStructure) {
       "172d474b397134d1", "f6abedb2432cefbc", "a172f7c74dbde9d5"};
   for (std::size_t m = 0; m < modes.size(); ++m) {
     const auto& [name, config] = modes[m];
-    EXPECT_EQ(forestDigest(owned, config), expected[m]) << name << " owned";
-    EXPECT_EQ(forestDigest(view, config), expected[m]) << name << " view";
-    EXPECT_EQ(forestDigest(matrixView, config), expected[m])
-        << name << " matrix";
+    EXPECT_EQ(forestDigest(train, config), expected[m]) << name;
   }
-  std::filesystem::remove(path);
 
   // Tie-heavy forests: one threshold per feature, twelve (two groups of
   // eight, the second padded), no leaf minimum (a side may be empty),
@@ -456,6 +442,73 @@ TEST(Golden, FeatureMatrixMatchesPinnedDigest) {
   features::FeatureSelector sparseFull;
   sparseFull.fit(defaultMatrix, sparse, 40);
   EXPECT_EQ(util::toHex64(gainsDigest(sparseFull)), "5fc4c10caf71cf01");
+}
+
+// bench/macro_scale at the CI scale-smoke shape (year 2017, 64 authors,
+// shards of 16, 24 training authors, 6 trees): the vocabulary is fitted on
+// the whole cohort, as macro_scale fits it on its first 128 authors. The
+// vote hash folds the votes the way macro_scale's scale_pred_hash does.
+// Recorded with the buffered segment writer and the index-view training
+// path that streamed segments and an owned training copy replaced.
+TEST(Golden, ScaleMatrixMatchesPinnedDigest) {
+  constexpr int kYear = 2017;
+  constexpr std::size_t kAuthors = 64;
+  constexpr std::size_t kTrainAuthors = 24;
+  const std::vector<const corpus::Challenge*> challenges =
+      corpus::challengesForYear(kYear);
+  features::FeatureExtractor extractor;
+  {
+    std::vector<std::string> sources;
+    for (const corpus::Author& author :
+         corpus::makeAuthorPopulation(kYear, kAuthors)) {
+      for (std::size_t c = 0; c < challenges.size(); ++c) {
+        sources.push_back(corpus::renderSolution(
+            author, *challenges[c], kYear, static_cast<int>(c)));
+      }
+    }
+    extractor.fit(sources);
+  }
+
+  corpus::ScaleConfig config;
+  config.year = kYear;
+  config.authorCount = kAuthors;
+  config.shardSize = 16;
+  config.outDir =
+      (std::filesystem::temp_directory_path() / "sca_golden_scale").string();
+  std::filesystem::remove_all(config.outDir);
+  const auto built = corpus::buildYearMatrix(extractor, config);
+  ASSERT_TRUE(built.ok()) << built.status().toString();
+  auto opened = ml::MatrixFile::open(
+      built.value().matrixPath,
+      corpus::yearMatrixMetaHash(extractor, kYear, kAuthors));
+  ASSERT_TRUE(opened.ok()) << opened.status().toString();
+  const ml::MatrixFile& file = opened.value();
+  ASSERT_EQ(file.rows(), kAuthors * challenges.size());
+
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < file.rows(); ++i) {
+    rows.emplace_back(file.row(i).begin(), file.row(i).end());
+  }
+  ml::Dataset train;
+  train.x.assign(rows.begin(),
+                 rows.begin() + static_cast<std::ptrdiff_t>(
+                                    kTrainAuthors * challenges.size()));
+  for (std::size_t i = 0; i < train.x.size(); ++i) {
+    train.y.push_back(file.label(i));
+  }
+  ml::ForestConfig forestConfig;
+  forestConfig.treeCount = 6;
+  forestConfig.seed = util::hash64("macro-scale-forest");
+  ml::RandomForest forest(forestConfig);
+  forest.fit(train);
+  std::uint64_t votes = util::hash64("scale-pred-v1");
+  for (const int vote : forest.predictAll(rows)) {
+    votes = util::combine64(votes, static_cast<std::uint64_t>(vote));
+  }
+
+  EXPECT_EQ(util::toHex64(ml::matrixContentHash(file)), "7da711cd747dd2d0");
+  EXPECT_EQ(util::toHex64(votes), "8e6d1af8dfd37360");
+  std::filesystem::remove_all(config.outDir);
 }
 
 }  // namespace

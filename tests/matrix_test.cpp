@@ -1,16 +1,16 @@
 // Tests for the out-of-core matrix layer (src/ml/matrix.hpp): the
-// sca-matrix-v1 format, both writers, the mmap reader with its residency
-// budget, and the Dataset storage modes built on top of it.
+// sca-matrix-v1 format, its streaming writer, the mmap reader and its block
+// reader, and seeded mutants of a valid file.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "ml/dataset.hpp"
 #include "ml/matrix.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
@@ -43,15 +43,18 @@ std::vector<std::vector<double>> testRows(std::size_t rows,
   return out;
 }
 
+/// Writes testRows(rows, cols) one row per append, with label i % 5 and
+/// group i % 3.
 std::string writeTestMatrix(const std::string& path, std::size_t rows,
                             std::size_t cols, std::uint64_t metaHash) {
-  MatrixWriter writer(cols, metaHash);
+  MatrixStreamWriter writer(path, rows, cols, metaHash);
   const auto data = testRows(rows, cols);
   for (std::size_t i = 0; i < rows; ++i) {
-    writer.appendRow(data[i], static_cast<int>(i % 5),
-                     static_cast<int>(i % 3));
+    const std::int32_t label = static_cast<std::int32_t>(i % 5);
+    const std::int32_t group = static_cast<std::int32_t>(i % 3);
+    EXPECT_TRUE(writer.appendRows(data[i], {&label, 1}, {&group, 1}).isOk());
   }
-  EXPECT_TRUE(writer.finish(path).isOk());
+  EXPECT_TRUE(writer.finish().isOk());
   return path;
 }
 
@@ -83,13 +86,12 @@ TEST(Matrix, RoundTripsRowsLabelsGroupsBitForBit) {
   }
 }
 
-TEST(Matrix, StreamWriterProducesIdenticalBytesToBufferedWriter) {
+TEST(Matrix, StreamWriterBytesIndependentOfBlockSizes) {
   const std::string dir = tempDir("stream_eq");
   const std::uint64_t meta = util::hash64("stream-meta");
-  const std::string buffered =
-      writeTestMatrix(dir + "/buffered.mtx", 23, 6, meta);
+  const std::string perRow = writeTestMatrix(dir + "/per_row.mtx", 23, 6, meta);
 
-  // Same rows through the streaming writer, in uneven blocks.
+  // Same rows in uneven blocks.
   const auto data = testRows(23, 6);
   MatrixStreamWriter stream(dir + "/streamed.mtx", 23, 6, meta);
   std::size_t at = 0;
@@ -108,7 +110,7 @@ TEST(Matrix, StreamWriterProducesIdenticalBytesToBufferedWriter) {
   ASSERT_EQ(at, 23u);
   ASSERT_TRUE(stream.finish().isOk());
 
-  const auto a = util::readFile(buffered);
+  const auto a = util::readFile(perRow);
   const auto b = util::readFile(dir + "/streamed.mtx");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -165,38 +167,7 @@ TEST(Matrix, OpenRejectsMissingForeignTruncatedAndStaleFiles) {
   EXPECT_FALSE(MatrixFile::open(dir + "/foreign.mtx").ok());
 }
 
-// ---------------------------------------------------------- residency
-
-TEST(Matrix, ResidencyBudgetBoundsChunksWithoutChangingValues) {
-  const std::string dir = tempDir("residency");
-  constexpr std::size_t kRows = 256;
-  constexpr std::size_t kCols = 64;
-  const std::string path =
-      writeTestMatrix(dir + "/big.mtx", kRows, kCols, 7);
-
-  auto opened = MatrixFile::open(path, 7);
-  ASSERT_TRUE(opened.ok());
-  const MatrixFile& file = opened.value();
-
-  // A budget far below the payload (128 KiB of f64s): the scan must still
-  // read every value bit-exactly while the tracker stays bounded.
-  file.setResidencyBudget(16 * 1024);
-  const auto expected = testRows(kRows, kCols);
-  for (std::size_t pass = 0; pass < 2; ++pass) {  // refaults on pass 2
-    for (std::size_t i = 0; i < kRows; ++i) {
-      const std::span<const double> row = file.row(i);
-      for (std::size_t j = 0; j < kCols; ++j) {
-        ASSERT_EQ(row[j], expected[i][j]);
-      }
-    }
-  }
-  EXPECT_GT(file.residentChunks(), 0u);
-
-  file.dropResidency();
-  // Values survive a full drop — pages refault from the file.
-  EXPECT_EQ(file.row(kRows - 1)[kCols - 1],
-            expected[kRows - 1][kCols - 1]);
-}
+// ------------------------------------------------------------- reading
 
 TEST(Matrix, RowBlockReaderCoversEveryRowExactlyOnce) {
   const std::string dir = tempDir("blocks");
@@ -204,6 +175,9 @@ TEST(Matrix, RowBlockReaderCoversEveryRowExactlyOnce) {
   auto opened = MatrixFile::open(path);
   ASSERT_TRUE(opened.ok());
 
+  // Each advance drops the pages read so far; the values refault from the
+  // file unchanged, pass after pass.
+  const auto expected = testRows(10, 3);
   for (const std::size_t rowsPerBlock : {1ul, 3ul, 10ul, 64ul}) {
     RowBlockReader reader(opened.value(), rowsPerBlock);
     std::vector<bool> seen(10, false);
@@ -212,7 +186,8 @@ TEST(Matrix, RowBlockReaderCoversEveryRowExactlyOnce) {
       for (std::size_t i = reader.beginRow(); i < reader.endRow(); ++i) {
         EXPECT_FALSE(seen[i]);
         seen[i] = true;
-        EXPECT_EQ(reader.row(i)[0], opened.value().row(i)[0]);
+        const std::span<const double> row = reader.row(i);
+        EXPECT_EQ(std::vector<double>(row.begin(), row.end()), expected[i]);
       }
     }
     for (std::size_t i = 0; i < 10; ++i) EXPECT_TRUE(seen[i]) << i;
@@ -231,8 +206,11 @@ TEST(Matrix, ContentHashTracksBytesNotAccessPattern) {
   const std::uint64_t hashA = matrixContentHash(fileA.value());
   EXPECT_EQ(hashA, matrixContentHash(fileB.value()));
 
-  // Budgeted access does not change the hash...
-  fileA.value().setResidencyBudget(4096);
+  // Reading every row and dropping the pages does not change the hash...
+  for (std::size_t i = 0; i < fileA.value().rows(); ++i) {
+    EXPECT_EQ(fileA.value().row(i).size(), 8u);
+  }
+  fileA.value().dropResidency();
   EXPECT_EQ(matrixContentHash(fileA.value()), hashA);
 
   // ...but one flipped payload byte does.
@@ -249,46 +227,118 @@ TEST(Matrix, ContentHashTracksBytesNotAccessPattern) {
   EXPECT_NE(matrixContentHash(fileC.value()), hashA);
 }
 
-// ------------------------------------------------------ dataset modes
+// -------------------------------------------------------- mutation fuzz
 
-TEST(Matrix, DatasetFromMatrixServesZeroCopyRowsWithMaterializedSides) {
-  const std::string dir = tempDir("dataset");
-  const std::string path = writeTestMatrix(dir + "/m.mtx", 12, 5, 1);
-  auto opened = MatrixFile::open(path);
-  ASSERT_TRUE(opened.ok());
+std::uint64_t readU64(const std::string& bytes, std::size_t offset) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + offset, sizeof value);
+  return value;
+}
 
-  const Dataset data = Dataset::fromMatrix(opened.value());
-  data.validate();
-  EXPECT_TRUE(data.x.empty());  // nothing copied
-  EXPECT_EQ(data.size(), 12u);
-  EXPECT_EQ(data.dimension(), 5u);
-  ASSERT_EQ(data.y.size(), 12u);
-  ASSERT_EQ(data.groups.size(), 12u);
-  for (std::size_t i = 0; i < 12; ++i) {
-    EXPECT_EQ(data.row(i).data(), opened.value().row(i).data());
-    EXPECT_EQ(data.y[i], opened.value().label(i));
-    EXPECT_EQ(data.groups[i], opened.value().group(i));
+void writeU64(std::string& bytes, std::size_t offset, std::uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+/// One seeded mutation: a flipped header bit, a rewritten header field, a
+/// self-consistent header for another shape, a truncation, or trailing
+/// bytes.
+void mutate(std::string& bytes, util::Rng& rng) {
+  // rows, cols, metaHash, dataOffset, labelsOffset, groupsOffset
+  constexpr std::array<std::size_t, 6> kFields = {17, 25, 33, 41, 49, 57};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  switch (pick(5)) {
+    case 0:
+      if (bytes.size() >= 72) {
+        bytes[pick(72)] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    case 1:
+      if (bytes.size() >= 72) {
+        const std::size_t field = kFields[pick(kFields.size())];
+        const std::uint64_t old = readU64(bytes, field);
+        const std::array<std::uint64_t, 7> values = {
+            old + 1,  old - 1, old * 2, old << 32, 0,
+            ~old,     rng.next()};
+        writeU64(bytes, field, values[pick(values.size())]);
+      }
+      break;
+    case 2:
+      if (bytes.size() >= 72) {
+        const std::uint64_t rows = pick(13);
+        const std::uint64_t cols = 1 + pick(12);
+        writeU64(bytes, 17, rows);
+        writeU64(bytes, 25, cols);
+        writeU64(bytes, 41, 72);
+        writeU64(bytes, 49, 72 + rows * cols * 8);
+        writeU64(bytes, 57, 72 + rows * cols * 8 + rows * 4);
+      }
+      break;
+    case 3:
+      if (!bytes.empty()) bytes.resize(pick(bytes.size()));
+      break;
+    default:
+      bytes.append(1 + pick(64), static_cast<char>(rng.next()));
+      break;
   }
+}
 
-  // subset() copies out of the mapping; subsetView() stays zero-copy and
-  // flattens view-of-view indirection to the root base.
-  const std::vector<std::size_t> pick = {11, 0, 7};
-  const Dataset owned = data.subset(pick);
-  owned.validate();
-  EXPECT_EQ(owned.matrix, nullptr);
-  EXPECT_EQ(owned.x.size(), 3u);
-  EXPECT_EQ(owned.row(0)[2], data.row(11)[2]);
-
-  const Dataset view = data.subsetView(pick);
-  view.validate();
-  EXPECT_EQ(view.row(1).data(), data.row(0).data());
-  EXPECT_EQ(view.y[2], data.y[7]);
-
-  const Dataset nested = view.subsetView({2, 0});
-  nested.validate();
-  EXPECT_EQ(nested.base, view.base);  // flattened, depth stays 1
-  EXPECT_EQ(nested.row(0).data(), data.row(7).data());
-  EXPECT_EQ(nested.y[1], data.y[11]);
+// Each mutant either fails to open with kDataLoss, or opens with a shape
+// whose sections tile the file exactly, so that every row, label and group
+// read lands inside it, at its own section's offset.
+TEST(Matrix, MutatedFilesFailClosedOrReadInBounds) {
+  const std::string dir = tempDir("fuzz");
+  const auto valid =
+      util::readFile(writeTestMatrix(dir + "/valid.mtx", 6, 3, 9));
+  ASSERT_TRUE(valid.ok());
+  const std::string path = dir + "/mutant.mtx";
+  util::Rng rng(util::hash64("matrix-fuzz"));
+  constexpr std::size_t kMutants = 2000;
+  std::size_t opened = 0;
+  for (std::size_t round = 0; round < kMutants; ++round) {
+    std::string bytes = valid.value();
+    mutate(bytes, rng);
+    if (rng.bernoulli(0.3)) mutate(bytes, rng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    const auto file = MatrixFile::open(path);
+    if (!file.ok()) {
+      EXPECT_EQ(file.status().code(), util::StatusCode::kDataLoss)
+          << "mutant " << round << ": " << file.status().toString();
+      continue;
+    }
+    ++opened;
+    const MatrixFile& m = file.value();
+    const std::size_t payload = m.rows() * m.cols() * sizeof(double);
+    ASSERT_EQ(m.fileBytes(), bytes.size()) << "mutant " << round;
+    ASSERT_EQ(72 + payload + m.rows() * 8, bytes.size())
+        << "mutant " << round << ": " << m.rows() << " x " << m.cols();
+    const char* data = m.rawBytes().data() + 72;
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      const std::span<const double> row = m.row(i);
+      ASSERT_EQ(reinterpret_cast<const char*>(row.data()),
+                data + i * m.cols() * sizeof(double))
+          << "mutant " << round << ", row " << i;
+      EXPECT_EQ(std::memcmp(row.data(), bytes.data() + 72 +
+                                            i * m.cols() * sizeof(double),
+                            row.size_bytes()),
+                0);
+      std::int32_t label = 0;
+      std::int32_t group = 0;
+      std::memcpy(&label, bytes.data() + 72 + payload + 4 * i, 4);
+      std::memcpy(&group, bytes.data() + 72 + payload + 4 * (m.rows() + i),
+                  4);
+      EXPECT_EQ(m.label(i), label) << "mutant " << round << ", row " << i;
+      EXPECT_EQ(m.group(i), group) << "mutant " << round << ", row " << i;
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the header checks.
+  EXPECT_GT(opened, 0u);
+  EXPECT_LT(opened, kMutants);
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
-#include <map>
-#include <set>
 #include <sstream>
 
-#include "ml/cross_validation.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/matrix.hpp"
 #include "ml/metrics.hpp"
@@ -27,7 +24,6 @@ Dataset blobs(std::size_t perClass, std::uint64_t seed) {
       data.x.push_back({centers[label][0] + rng.normal(0, 0.5),
                         centers[label][1] + rng.normal(0, 0.5)});
       data.y.push_back(label);
-      data.groups.push_back(static_cast<int>(i % 4));
     }
   }
   return data;
@@ -53,15 +49,6 @@ TEST(Dataset, ValidateCatchesShapeErrors) {
   Dataset mismatched = blobs(5, 1);
   mismatched.y.pop_back();
   EXPECT_THROW(mismatched.validate(), std::invalid_argument);
-}
-
-TEST(Dataset, SubsetCopiesRowsAndGroups) {
-  const Dataset data = blobs(4, 2);
-  const Dataset sub = data.subset({0, 5, 10});
-  EXPECT_EQ(sub.size(), 3u);
-  EXPECT_EQ(sub.x[1], data.x[5]);
-  EXPECT_EQ(sub.y[2], data.y[10]);
-  EXPECT_EQ(sub.groups[0], data.groups[0]);
 }
 
 TEST(Dataset, ClassCount) {
@@ -162,7 +149,6 @@ TEST(RandomForest, HighAccuracyOnBlobs) {
   EXPECT_THROW((void)wide.predict(data.x[0]), std::invalid_argument);
   EXPECT_THROW((void)wide.predictProba(data.x[0]), std::invalid_argument);
   EXPECT_THROW((void)wide.predictAll(data.x), std::invalid_argument);
-  EXPECT_THROW((void)wide.predictAll(data), std::invalid_argument);
 }
 
 TEST(RandomForest, DeterministicForFixedSeed) {
@@ -194,20 +180,6 @@ TEST(RandomForest, ThrowsOnEmptyDataset) {
   EXPECT_THROW(forest.fit(Dataset{}), std::invalid_argument);
 }
 
-/// Spills `data` to a sca-matrix-v1 file and returns its path.
-std::string spillToMatrix(const Dataset& data, const std::string& name) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / name).string();
-  std::filesystem::remove(path);
-  MatrixWriter writer(data.dimension(), 1);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    writer.appendRow(data.row(i), data.y[i],
-                     data.groups.empty() ? 0 : data.groups[i]);
-  }
-  EXPECT_TRUE(writer.finish(path).isOk());
-  return path;
-}
-
 TEST(RandomForest, StreamingPredictAllIsIdenticalToResidentPath) {
   const Dataset data = blobs(40, 7);
   ForestConfig config;
@@ -216,47 +188,43 @@ TEST(RandomForest, StreamingPredictAllIsIdenticalToResidentPath) {
   forest.fit(data);
   const std::vector<int> resident = forest.predictAll(data.x);
 
-  auto opened =
-      MatrixFile::open(spillToMatrix(data, "sca_ml_stream_eq.mtx"), 1);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sca_ml_stream_eq.mtx")
+          .string();
+  MatrixStreamWriter writer(path, data.size(), data.dimension(), 1);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const std::int32_t label = data.y[i];
+    const std::int32_t group = 0;
+    ASSERT_TRUE(writer.appendRows(data.x[i], {&label, 1}, {&group, 1}).isOk());
+  }
+  ASSERT_TRUE(writer.finish().isOk());
+  auto opened = MatrixFile::open(path, 1);
   ASSERT_TRUE(opened.ok()) << opened.status().toString();
-  const Dataset mapped = Dataset::fromMatrix(opened.value());
 
-  // Same votes through every storage mode and thread cap — tiny residency
-  // budget included, which forces block eviction mid-scan.
-  EXPECT_EQ(forest.predictAll(mapped), resident);
-  opened.value().setResidencyBudget(4096);
-  EXPECT_EQ(forest.predictAll(mapped), resident);
-  EXPECT_EQ(forest.predictAll(data), resident);
-
+  // Rows copied out of the mapping block by block, as bench/macro_scale
+  // predicts, give the same votes for any block size and thread cap.
   ForestConfig serial = config;
   serial.threads = 1;
   RandomForest serialForest(serial);
   serialForest.fit(data);
-  EXPECT_EQ(serialForest.predictAll(mapped), resident);
-}
-
-TEST(RandomForest, FitOnViewsAndMatrixMatchesFitOnCopies) {
-  const Dataset data = blobs(30, 11);
-  std::vector<std::size_t> train;
-  for (std::size_t i = 0; i < data.size(); i += 2) train.push_back(i);
-
-  ForestConfig config;
-  config.treeCount = 15;
-  config.seed = 41;
-
-  RandomForest onCopy(config), onView(config), onMatrix(config);
-  onCopy.fit(data.subset(train));
-  onView.fit(data.subsetView(train));
-
-  auto opened =
-      MatrixFile::open(spillToMatrix(data, "sca_ml_fit_modes.mtx"), 1);
-  ASSERT_TRUE(opened.ok());
-  const Dataset mapped = Dataset::fromMatrix(opened.value());
-  onMatrix.fit(mapped.subsetView(train));
-
-  const std::vector<int> expected = onCopy.predictAll(data.x);
-  EXPECT_EQ(onView.predictAll(data), expected);
-  EXPECT_EQ(onMatrix.predictAll(data), expected);
+  for (const std::size_t rowsPerBlock : {1ul, 7ul, 64ul, 1000ul}) {
+    std::vector<int> streamed;
+    std::vector<int> serialVotes;
+    RowBlockReader blocks(opened.value(), rowsPerBlock);
+    while (blocks.next()) {
+      std::vector<std::vector<double>> rows;
+      for (std::size_t i = blocks.beginRow(); i < blocks.endRow(); ++i) {
+        rows.emplace_back(blocks.row(i).begin(), blocks.row(i).end());
+      }
+      const std::vector<int> votes = forest.predictAll(rows);
+      streamed.insert(streamed.end(), votes.begin(), votes.end());
+      const std::vector<int> more = serialForest.predictAll(rows);
+      serialVotes.insert(serialVotes.end(), more.begin(), more.end());
+    }
+    EXPECT_EQ(streamed, resident) << rowsPerBlock << " rows per block";
+    EXPECT_EQ(serialVotes, resident) << rowsPerBlock << " rows per block";
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(DecisionTree, SaveLoadRoundTrip) {
@@ -392,80 +360,6 @@ TEST(Metrics, ConfusionValidatesRange) {
 TEST(Metrics, PercentFormatting) {
   EXPECT_EQ(percent(0.931), "93.1");
   EXPECT_EQ(percent(1.0, 0), "100");
-}
-
-TEST(CrossValidation, GroupIndicesPartition) {
-  const auto idx = groupIndices({1, 0, 1, 2, 0});
-  ASSERT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx.at(0), (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(idx.at(1), (std::vector<std::size_t>{0, 2}));
-}
-
-TEST(CrossValidation, LeaveOneGroupOutUsesAllRowsOnce) {
-  const Dataset data = blobs(12, 10);  // groups 0..3
-  std::atomic<std::size_t> tested{0};  // folds run concurrently
-  const auto folds = leaveOneGroupOut(
-      data, [&](const Dataset& train, const Dataset& test) {
-        EXPECT_EQ(train.size() + test.size(), data.size());
-        RandomForest forest(ForestConfig{.treeCount = 10});
-        forest.fit(train);
-        tested += test.size();
-        return forest.predictAll(test);  // folds are views; x stays empty
-      });
-  EXPECT_EQ(folds.size(), 4u);
-  EXPECT_EQ(tested, data.size());
-  EXPECT_GT(meanAccuracy(folds), 0.9);
-}
-
-TEST(CrossValidation, StratifiedSplitBalancesClasses) {
-  std::vector<int> labels;
-  for (int i = 0; i < 40; ++i) labels.push_back(i % 4);
-  const Split split = stratifiedSplit(labels, 0.25, 7);
-  EXPECT_EQ(split.trainIndices.size() + split.testIndices.size(), 40u);
-  std::map<int, int> testPerClass;
-  for (const std::size_t i : split.testIndices) ++testPerClass[labels[i]];
-  for (int label = 0; label < 4; ++label) {
-    EXPECT_EQ(testPerClass[label], 2 + 1 /* ~25% of 10, rounded */)
-        << "class " << label;
-  }
-  // Deterministic in seed; different seeds differ.
-  const Split again = stratifiedSplit(labels, 0.25, 7);
-  EXPECT_EQ(split.testIndices, again.testIndices);
-}
-
-TEST(CrossValidation, StratifiedSplitValidatesFraction) {
-  EXPECT_THROW(stratifiedSplit({0, 1}, 0.0, 1), std::invalid_argument);
-  EXPECT_THROW(stratifiedSplit({0, 1}, 1.0, 1), std::invalid_argument);
-}
-
-TEST(CrossValidation, StratifiedKFoldPartitions) {
-  std::vector<int> labels;
-  for (int i = 0; i < 30; ++i) labels.push_back(i % 3);
-  const auto folds = stratifiedKFold(labels, 5, 11);
-  ASSERT_EQ(folds.size(), 5u);
-  std::set<std::size_t> seen;
-  for (const auto& fold : folds) {
-    EXPECT_EQ(fold.size(), 6u);
-    std::map<int, int> perClass;
-    for (const std::size_t i : fold) {
-      ++perClass[labels[i]];
-      EXPECT_TRUE(seen.insert(i).second) << "index " << i << " duplicated";
-    }
-    for (const auto& [label, count] : perClass) EXPECT_EQ(count, 2);
-  }
-  EXPECT_EQ(seen.size(), 30u);
-  EXPECT_THROW(stratifiedKFold(labels, 1, 1), std::invalid_argument);
-}
-
-TEST(CrossValidation, RequiresGroups) {
-  Dataset data = blobs(4, 11);
-  data.groups.clear();
-  EXPECT_THROW(
-      leaveOneGroupOut(data,
-                       [](const Dataset&, const Dataset& test) {
-                         return std::vector<int>(test.size(), 0);
-                       }),
-      std::invalid_argument);
 }
 
 }  // namespace

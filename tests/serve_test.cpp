@@ -152,6 +152,14 @@ TEST(Protocol, OutOfRangeNumericFieldsAreRejectedWithAReason) {
   EXPECT_NE(negChallenge.error.find("\"challenge\" out of range"),
             std::string::npos);
 
+  // A chain past the range of long long is not a number the scanner can
+  // read, so the request is invalid rather than overflowing into a value.
+  const Request hugeChain = parseRequest(
+      R"({"op":"generate","id":"x","chain":99999999999999999999999,"challenge":0})");
+  EXPECT_EQ(hugeChain.op, Op::kInvalid);
+  EXPECT_EQ(hugeChain.id, "x");
+  EXPECT_FALSE(hugeChain.error.empty());
+
   // The structured invalid response carries the reason verbatim.
   const std::string response = invalidResponse("r2", negDeadline.error);
   EXPECT_NE(response.find("\"code\":\"invalid_argument\""),

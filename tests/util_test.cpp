@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -261,6 +262,23 @@ TEST(Strings, JsonFieldExtractorsFailSoftOnTornRecords) {
   EXPECT_FALSE(jsonStringField(record, "missing", &text));
   long long number = 0;
   EXPECT_FALSE(jsonIntField(record, "key", &number));  // string, not int
+
+  // The full range of long long reads exactly; one past either end, or a
+  // value with more digits than fit, fails and leaves `*out` alone.
+  EXPECT_TRUE(jsonIntField(R"({"n":9223372036854775807})", "n", &number));
+  EXPECT_EQ(number, LLONG_MAX);
+  EXPECT_TRUE(jsonIntField(R"({"n":-9223372036854775808})", "n", &number));
+  EXPECT_EQ(number, LLONG_MIN);
+  EXPECT_TRUE(jsonIntField(R"({"n":-0,"m":1})", "n", &number));
+  EXPECT_EQ(number, 0);
+  number = 42;
+  EXPECT_FALSE(jsonIntField(R"({"n":9223372036854775808})", "n", &number));
+  EXPECT_FALSE(jsonIntField(R"({"n":-9223372036854775809})", "n", &number));
+  EXPECT_FALSE(
+      jsonIntField(R"({"n":99999999999999999999999})", "n", &number));
+  EXPECT_FALSE(jsonIntField(R"({"n":-})", "n", &number));
+  EXPECT_FALSE(jsonIntField(R"({"n":+5})", "n", &number));
+  EXPECT_EQ(number, 42);
 }
 
 // ----------------------------------------------------------------- stats --

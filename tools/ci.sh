@@ -52,16 +52,18 @@
 # forest_fit and llm_chain_+N spans. A wedged task must trip the watchdog
 # and a SIGSEGV must leave a postmortem that `sca_cli postmortem` renders.
 #
-# Finally, an ASan+UBSan tree runs four focus groups: the zero-copy lexer
+# Finally, an ASan+UBSan tree runs five focus groups: the zero-copy lexer
 # and arena parser (lexer_test, parser_fuzz_test, roundtrip_property_test),
 # whose string_view offsets and arena id arithmetic are exactly what
 # -fsanitize=address,undefined exists to check; the feature records
 # (features_test), whose term bags are offsets into one buffer behind an
-# open-addressing index; the ML suites (ml_test, matrix_test,
-# golden_test), whose forest-fit kernel is index ranges into one sample
-# buffer and count tables indexed by label; and the span recorder
+# open-addressing index; the ML and matrix suites (ml_test, matrix_test,
+# golden_test, corpus_test), whose forest-fit kernel is index ranges into
+# one sample buffer and count tables indexed by label, and whose matrix
+# reader faces seeded mutants and streamed segments; the span recorder
 # (obs_test, flight_test), whose ring slots and chunked trace lists are
-# indexed by per-thread counters.
+# indexed by per-thread counters; and the string scanners (util_test),
+# whose integer fields parse untrusted serve requests and checkpoints.
 #
 # Last, a perf-seed smoke runs the one-shot pipeline against the committed
 # seed baseline (tools/perf/seed_baseline.jsonl): `history check` must pass
@@ -391,7 +393,8 @@ serve_telemetry_smoke
 
 # Out-of-core scale smoke: macro_scale generates a small corpus through the
 # sharded matrix builder and asserts its own invariants (streaming vs
-# resident prediction identity, RSS bound) with a nonzero exit. The shell
+# resident prediction identity, RSS bound) with a nonzero exit, and a
+# malformed SCA_SCALE_* number must exit 2 before writing anything. The shell
 # adds the cross-run claims: the stable metrics — which carry the matrix
 # content hash and the fold of every streamed prediction — must be
 # byte-identical across SCA_THREADS=1/8 and across shard sizes; an
@@ -418,6 +421,16 @@ scale_smoke() {
        SCA_MANIFEST="manifest_$tag.json" \
        ../bench/macro_scale > "out_$tag.txt")
   }
+
+  local status=0
+  (cd "$dir" && SCA_SCALE_AUTHORS=64x SCA_SCALE_DIR=corpus_bad \
+     SCA_MANIFEST=manifest_bad.json ../bench/macro_scale > out_bad.txt 2>&1) ||
+    status=$?
+  [ "$status" -eq 2 ] ||
+    { echo "scale smoke: SCA_SCALE_AUTHORS=64x exited $status, not 2" >&2
+      exit 1; }
+  [ ! -e "$dir/corpus_bad" ] ||
+    { echo "scale smoke: SCA_SCALE_AUTHORS=64x wrote a matrix" >&2; exit 1; }
 
   run_scale t1 1 16 corpus_t1 ||
     { cat "$dir/out_t1.txt" >&2; echo "macro_scale t1 failed" >&2; exit 1; }
@@ -633,27 +646,32 @@ SCA_THREADS="${SCA_TSAN_THREADS:-4}" \
 SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
   run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
 
-# ASan+UBSan focused pass over four groups. The zero-copy lexer and the
+# ASan+UBSan focused pass over five groups. The zero-copy lexer and the
 # arena parser: every token is a string_view into a shared buffer and every
 # AST node an index into a pooled arena, so out-of-bounds views, misaligned
 # access and overflowing offset arithmetic are the realistic failure modes
 # — and the fuzz/property suites are the inputs most likely to provoke
 # them. The feature records: each term bag stores its terms as offsets
 # into one buffer, found through an open-addressing slot table, and the
-# selector indexes flat class-by-column count tables. The ML suites: the
-# forest-fit kernel partitions [begin, end) ranges of one sample buffer
-# and indexes count tables by label and threshold, and the golden tests
-# drive it through owned, view and matrix-backed storage and pin the
-# feature matrix. The span recorder: a span's name is packed into fixed
-# slot words, ring slots are indexed modulo the capacity, and traced spans
-# land in chunked per-thread lists indexed by count (obs_test,
-# flight_test). The binaries run directly (not via ctest) because only
-# these nine targets are built in this tree.
+# selector indexes flat class-by-column count tables. The ML and matrix
+# suites: the forest-fit kernel partitions [begin, end) ranges of one
+# sample buffer and indexes count tables by label and threshold, the
+# golden tests pin the fitted trees, the feature matrix and the
+# out-of-core matrix bytes, matrix_test opens seeded mutants of an
+# sca-matrix-v1 file, and corpus_test streams shard segments through the
+# matrix writer and merges them. The span recorder: a span's name is
+# packed into fixed slot words, ring slots are indexed modulo the
+# capacity, and traced spans land in chunked per-thread lists indexed by
+# count (obs_test, flight_test). The string scanners: jsonIntField reads
+# integers out of serve requests and chain checkpoints, where a too-long
+# number once overflowed a signed accumulator (util_test). The binaries
+# run directly (not via ctest) because only these eleven targets are
+# built in this tree.
 ubsan_focus() {
   local tests="lexer_test parser_fuzz_test roundtrip_property_test"
-  tests+=" features_test ml_test matrix_test golden_test"
-  tests+=" obs_test flight_test"
-  echo "=== configure build-asan-ubsan (lexer/parser, features, ML and recorder focus) ==="
+  tests+=" features_test ml_test matrix_test golden_test corpus_test"
+  tests+=" obs_test flight_test util_test"
+  echo "=== configure build-asan-ubsan (lexer/parser, features, ML, recorder and string focus) ==="
   cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCA_SANITIZE=address+undefined
   echo "=== build build-asan-ubsan ==="
