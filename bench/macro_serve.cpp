@@ -14,6 +14,10 @@
 //              load must be SHED with explicit "overloaded" responses
 //              while the admitted conversations stay byte-perfect.
 //
+// SCA_SHARDS (default 4; fewer than 4 run as 4) and SCA_FAULT_RATE go
+// through util::envSize and util::envDouble: a malformed value exits 2
+// before any pass runs.
+//
 // Hard assertions (exit 1):
 //   * every successful response, in EVERY pass, is byte-identical to the
 //     oracle — chaos may cost availability, never correctness;
@@ -22,10 +26,10 @@
 //   * the drain record agrees with the server's own counters — degradation
 //     is recorded honestly;
 //   * overload sheds without corrupting the conversations it admits.
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,14 +52,6 @@ constexpr int kTurns = 12;
 constexpr int kSlowRound = 4;  // slow_shard control lands before this round
 constexpr int kKillRound = 8;  // kill_shard control lands before this round
 constexpr int kYear = 2017;
-
-double envDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  return end != raw && parsed > 0.0 ? parsed : fallback;
-}
 
 /// chain -> its oracle transcript (turn 0 = generate, then transforms of
 /// the previous oracle output: exactly the conversation the serving fleet
@@ -233,15 +229,22 @@ std::string row(double value) { return util::formatDouble(value, 2); }
 }  // namespace
 
 int main() {
+  int shards = 0;
+  double faultRate = 0.0;
+  try {
+    shards = static_cast<int>(util::envSize("SCA_SHARDS", 4, llm::kMaxShards));
+    faultRate = util::envDouble("SCA_FAULT_RATE", 0.15);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "macro_serve: " << e.what() << "\n";
+    return 2;
+  }
   bench::Session session("macro_serve");
 
-  int shards = static_cast<int>(envDouble("SCA_SHARDS", 4));
   if (shards < 4) {
     std::cout << "[macro_serve] SCA_SHARDS=" << shards
               << " too small for the chaos schedule; using 4\n";
     shards = 4;
   }
-  const double faultRate = envDouble("SCA_FAULT_RATE", 0.15);
   const int slowShard = 1 % shards;
   const int killShard = 2 % shards;
 

@@ -47,9 +47,8 @@ struct YearDataset {
 // on the runtime pool, extracts features sample by sample through the
 // cache-bypassing extractor path, streams each shard author by author into
 // an sca-matrix-v1 segment that lands by rename (the segment IS the shard's
-// crash checkpoint, pinned by metaHash exactly like the llm chain
-// checkpoints), and streams the segments into one final matrix in author
-// order.
+// crash checkpoint, pinned by its metaHash), and streams the segments into
+// one final matrix in author order.
 //
 // Determinism contract: the final file's bytes depend only on (year,
 // authorCount, extractor schema) — never on shard size, thread count, or

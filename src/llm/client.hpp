@@ -1,11 +1,13 @@
-// LlmClient: the seam between the transformation pipeline and whatever
-// produces completions.
+// LlmClient: the seam between the serving fleet and whatever produces
+// completions.
 //
 // The paper's pipeline makes 20,000+ ChatGPT API calls (§IV-B: generation
 // plus 50-step NCT/CT schedules per setting). A real backend fails —
 // timeouts, 429s, refusals, truncated completions, rewrites that no longer
-// parse — so the pipeline talks to this interface instead of to a concrete
-// model, and resilience composes as decorators:
+// parse. The Table II build (pipelines.hpp) drives the in-process model
+// directly, because it never fails; the serving fleet (sharded_client.hpp)
+// talks to this interface instead of to a concrete model, and resilience
+// composes as decorators:
 //
 //   SyntheticLlm                  the in-process model (always succeeds)
 //     ^ FaultInjectingClient      deterministically injects API failures

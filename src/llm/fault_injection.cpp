@@ -13,11 +13,11 @@ namespace {
 constexpr std::string_view kRefusalText =
     "I'm sorry, but I can't help with transforming this code.";
 
-/// Fault schedules are seeded per chain, so the global fault counts are
-/// stable across SCA_THREADS — but NOT across resumed runs: a chain resumed
-/// from its checkpoint (SCA_CHECKPOINT_DIR) never reaches this layer, so the
-/// transport-level counts are runtime-tagged and stay out of the stable
-/// (byte-compared) metrics section. Handles are cached per call site below.
+/// Fault counts describe the transport, not the output: a faults-on run
+/// serves the same bytes as a faults-off one with different counts, and
+/// the chaos controls (slowed, killed shards) move them too. The stable
+/// (byte-compared) metrics section holds only what the output determines,
+/// so these are runtime-tagged. Handles are cached per call site below.
 obs::Counter faultCounter(const char* name) {
   return obs::MetricsRegistry::global().counter(name,
                                                 obs::Stability::kRuntime);

@@ -22,8 +22,8 @@
 // completion, and hand back a corrupted copy; the retry of the same
 // request is served from the stash. Net effect: after the resilience
 // layer's retries, the surviving output is byte-identical to a faults-off
-// run — faults-on reproduces every paper table until the retry budget is
-// exhausted and degradation (the caller's policy) kicks in.
+// run, which is what lets the serving fleet answer a chaos run with the
+// healthy run's bytes.
 //
 // The slow edge is LAST in the roll chain, so any schedule with
 // slowRate == 0 (including every FaultOptions::scaled mix) draws the

@@ -1,40 +1,10 @@
 #include "llm/pipelines.hpp"
 
-#include <cstdlib>
-#include <optional>
-
-#include "llm/checkpoint.hpp"
-#include "llm/fault_injection.hpp"
-#include "llm/resilient_client.hpp"
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 #include "style/archetypes.hpp"
 
 namespace sca::llm {
-namespace {
-
-/// One step of either schedule: ask the client, degrade on final failure.
-/// Returns the step's output, or the Status when degradation is off.
-util::Result<std::string> transformStep(LlmClient& client,
-                                        const std::string& input,
-                                        const std::string& fallback,
-                                        const TransformPolicy& policy) {
-  util::Result<std::string> result = client.tryTransform(input);
-  if (result.ok()) return result;
-  if (!policy.degradeOnFailure) return result.status();
-  static const obs::Counter kDegradedSteps =
-      obs::MetricsRegistry::global().counter("llm_degraded_steps");
-  kDegradedSteps.add();
-  obs::logEvent(obs::LogLevel::kWarn, "llm", "step_degraded",
-                [&](util::JsonObjectBuilder& fields) {
-                  fields.add("error", result.status().toString());
-                });
-  return fallback;
-}
-
-}  // namespace
 
 std::string_view settingLabel(Setting setting) noexcept {
   switch (setting) {
@@ -56,81 +26,30 @@ const std::vector<Setting>& allSettings() {
   return kSettings;
 }
 
-util::Result<std::vector<std::string>> nonChainingTransform(
-    LlmClient& client, const std::string& original, std::size_t steps,
-    const TransformPolicy& policy) {
-  std::vector<std::string> out;
-  out.reserve(steps);
-  for (std::size_t i = 0; i < steps; ++i) {
-    // NCT re-transforms the original every step, so the original is also
-    // the honest degradation fallback: an API that failed this step simply
-    // left CGc_{i+1} untransformed.
-    util::Result<std::string> step =
-        transformStep(client, original, original, policy);
-    if (!step.ok()) return step.status();
-    out.push_back(std::move(step.value()));
-  }
-  return out;
-}
-
-util::Result<std::vector<std::string>> chainingTransform(
-    LlmClient& client, const std::string& original, std::size_t steps,
-    const TransformPolicy& policy) {
-  std::vector<std::string> out;
-  out.reserve(steps);
-  const std::string* previous = &original;
-  for (std::size_t i = 0; i < steps; ++i) {
-    // CT's conversation state is the last good output; a failed step
-    // repeats it, and the chain continues from there.
-    util::Result<std::string> step =
-        transformStep(client, *previous, *previous, policy);
-    if (!step.ok()) return step.status();
-    out.push_back(std::move(step.value()));
-    previous = &out.back();
-  }
-  return out;
-}
-
 std::vector<std::string> nonChainingTransform(SyntheticLlm& llm,
                                               const std::string& original,
                                               std::size_t steps) {
-  return nonChainingTransform(static_cast<LlmClient&>(llm), original, steps)
-      .value();
+  std::vector<std::string> out;
+  out.reserve(steps);
+  for (std::size_t i = 0; i < steps; ++i) {
+    out.push_back(llm.transform(original));
+  }
+  return out;
 }
 
 std::vector<std::string> chainingTransform(SyntheticLlm& llm,
                                            const std::string& original,
                                            std::size_t steps) {
-  return chainingTransform(static_cast<LlmClient&>(llm), original, steps)
-      .value();
-}
-
-BuildOptions BuildOptions::fromEnv(std::size_t steps) {
-  BuildOptions options;
-  options.steps = steps;
-  if (const char* raw = std::getenv("SCA_FAULT_RATE");
-      raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const double parsed = std::strtod(raw, &end);
-    if (end != raw && parsed > 0.0) {
-      options.faultRate = parsed;
-    }
+  std::vector<std::string> out;
+  out.reserve(steps);
+  for (std::size_t i = 0; i < steps; ++i) {
+    out.push_back(llm.transform(i == 0 ? original : out.back()));
   }
-  if (const char* dir = std::getenv("SCA_CHECKPOINT_DIR");
-      dir != nullptr && *dir != '\0') {
-    options.checkpointDir = dir;
-  }
-  return options;
+  return out;
 }
 
 TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
                                            std::size_t steps) {
-  return buildTransformedDataset(yearData, BuildOptions::fromEnv(steps));
-}
-
-TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
-                                           const BuildOptions& options) {
-  const std::size_t steps = options.steps;
   TransformedDataset out;
   out.year = yearData.year;
   out.stepsPerSetting = steps;
@@ -203,19 +122,13 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
   // output into the next step), and runs concurrently with the rest.
   // Ordered collection + the serial assembly loop below reproduce the
   // serial build byte for byte.
-  //
-  // Each chain is also the unit of resilience and of checkpointing: it gets
-  // its own client stack (model -> fault injector -> resilient wrapper,
-  // seeded by the chain), and its finished outputs are persisted atomically
-  // so a killed build resumes from completed chains bit-identically.
   const std::vector<Setting>& settings = allSettings();
   const std::size_t chainCount = challengeCount * settings.size();
   const std::vector<std::vector<std::string>> chains =
       runtime::parallelMap<std::vector<std::string>>(
           chainCount, [&](std::size_t task) {
             const std::size_t c = task / settings.size();
-            const std::size_t settingIndex = task % settings.size();
-            const Setting setting = settings[settingIndex];
+            const Setting setting = settings[task % settings.size()];
             const bool chatgptOrigin = setting == Setting::ChatGptNct ||
                                        setting == Setting::ChatGptCt;
             const bool chaining =
@@ -224,82 +137,15 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
                                               ? out.chatgptOriginals[c]
                                               : out.humanOriginals[c];
 
-            const std::uint64_t chainSeed =
-                util::combine64(util::hash64(settingLabel(setting)), c);
             obs::Span chainSpan(
                 "llm_chain_" + std::string(settingLabel(setting)), "llm");
-
-            ChainKey key;
-            key.year = yearData.year;
-            key.settingIndex = settingIndex;
-            key.settingLabel = std::string(settingLabel(setting));
-            key.challenge = static_cast<int>(c);
-            key.steps = steps;
-            key.originHash = util::hash64(original);
-            key.faultRate = options.faultRate;
-
-            if (!options.checkpointDir.empty()) {
-              util::Result<std::vector<std::string>> loaded =
-                  loadChainCheckpoint(options.checkpointDir, key);
-              if (loaded.ok()) {
-                static const obs::Counter kChainsLoaded =
-                    obs::MetricsRegistry::global().counter(
-                        "ckpt_chains_loaded");
-                kChainsLoaded.add();
-                return std::move(loaded.value());
-              }
-            }
-
-            SyntheticLlm llm(
-                [&] {
-                  LlmOptions llmOptions;
-                  llmOptions.year = yearData.year;
-                  llmOptions.seed = chainSeed;
-                  return llmOptions;
-                }());
-
-            // Faults off = the bare model, exactly the historical call
-            // sequence. Faults on = the full resilience stack; retries
-            // recover the model's own completion (see fault_injection.hpp),
-            // so the surviving bytes still match unless degradation hits.
-            std::optional<FaultInjectingClient> faulty;
-            std::optional<ResilientClient> resilient;
-            LlmClient* client = &llm;
-            if (options.faultRate > 0.0) {
-              faulty.emplace(llm, FaultOptions::scaled(options.faultRate,
-                                                       chainSeed));
-              RetryPolicy retry;
-              retry.seed = chainSeed;
-              resilient.emplace(*faulty, retry);
-              client = &*resilient;
-            }
-
-            std::vector<std::string> outputs =
-                (chaining ? chainingTransform(*client, original, steps)
-                          : nonChainingTransform(*client, original, steps))
-                    .value();
-
-            if (!options.checkpointDir.empty()) {
-              const util::Status written =
-                  writeChainCheckpoint(options.checkpointDir, key, outputs);
-              if (written.isOk()) {
-                static const obs::Counter kChainsWritten =
-                    obs::MetricsRegistry::global().counter(
-                        "ckpt_chains_written");
-                kChainsWritten.add();
-              } else {
-                static const obs::Counter kWriteFailures =
-                    obs::MetricsRegistry::global().counter(
-                        "ckpt_write_failures", obs::Stability::kRuntime);
-                kWriteFailures.add();
-                obs::logEvent(obs::LogLevel::kWarn, "checkpoint",
-                              "write_failed",
-                              [&](util::JsonObjectBuilder& fields) {
-                                fields.add("error", written.toString());
-                              });
-              }
-            }
-            return outputs;
+            LlmOptions llmOptions;
+            llmOptions.year = yearData.year;
+            llmOptions.seed =
+                util::combine64(util::hash64(settingLabel(setting)), c);
+            SyntheticLlm llm(llmOptions);
+            return chaining ? chainingTransform(llm, original, steps)
+                            : nonChainingTransform(llm, original, steps);
           });
 
   out.samples.reserve(chainCount * steps);

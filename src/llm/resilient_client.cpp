@@ -21,12 +21,10 @@ bool looksLikeRefusal(const std::string& output) {
 
 // Process-global aggregates live in the metrics registry (the per-instance
 // Stats struct remains the per-client view; both are fed below, no map
-// lookups on the hot path). Fault schedules and jitter are chain-seeded,
-// so these counts — and the backoff histogram — are stable across
-// SCA_THREADS, but NOT across resumed runs: a chain resumed from its
-// checkpoint (SCA_CHECKPOINT_DIR) retries nothing, so the retry-layer
-// telemetry is runtime-tagged and stays out of the stable (byte-compared)
-// section.
+// lookups on the hot path). Retries, like the faults that cause them
+// (fault_injection.cpp), change how a completion is delivered, never its
+// bytes, so the retry-layer telemetry and the backoff histogram are
+// runtime-tagged and stay out of the stable (byte-compared) section.
 obs::Counter& breakerOpensCounter() {
   static obs::Counter counter = obs::MetricsRegistry::global().counter(
       "llm_breaker_opens", obs::Stability::kRuntime);

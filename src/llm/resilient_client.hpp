@@ -40,9 +40,8 @@
 // Thread safety: breaker state, retry budget, jitter stream and stats are
 // mutex-guarded, so one instance may front a shard shared by concurrent
 // serve requests. The inner request itself runs OUTSIDE the lock. The
-// pipeline still builds one client stack per transformation chain (one
-// conversation), which is what keeps every stream deterministic per
-// (setting, challenge) task; determinism under sharing is the serving
+// fleet builds one client stack per conversation, which is what keeps
+// every stream deterministic; determinism under sharing is the serving
 // layer's problem (see sharded_client.hpp).
 #pragma once
 

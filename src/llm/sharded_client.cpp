@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "obs/log.hpp"
 #include "util/strings.hpp"
@@ -70,30 +71,19 @@ std::string_view shardStateName(ShardState state) noexcept {
 
 FleetOptions FleetOptions::fromEnv() {
   FleetOptions options;
-  if (const char* raw = std::getenv("SCA_SHARDS");
-      raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(raw, &end, 10);
-    if (end != raw && parsed >= 1 && parsed <= 64) {
-      options.shards = static_cast<int>(parsed);
-    }
+  options.shards = static_cast<int>(
+      util::envSize("SCA_SHARDS", static_cast<std::size_t>(options.shards),
+                    kMaxShards));
+  options.faultRate = util::envDouble("SCA_FAULT_RATE", options.faultRate);
+  // Hedging stays off unless a positive delay is set; an explicit 0 is
+  // rejected like any other value that cannot enable it.
+  const double hedge = util::envDouble("SCA_HEDGE_S", -1.0);
+  if (hedge == 0.0) {
+    throw std::invalid_argument(std::string("SCA_HEDGE_S=") +
+                                std::getenv("SCA_HEDGE_S") +
+                                ": expected a positive number of seconds");
   }
-  if (const char* raw = std::getenv("SCA_FAULT_RATE");
-      raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const double parsed = std::strtod(raw, &end);
-    if (end != raw && parsed > 0.0) {
-      options.faultRate = parsed;
-    }
-  }
-  if (const char* raw = std::getenv("SCA_HEDGE_S");
-      raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const double parsed = std::strtod(raw, &end);
-    if (end != raw && parsed > 0.0) {
-      options.policy.hedgeAfterSeconds = parsed;
-    }
-  }
+  if (hedge > 0.0) options.policy.hedgeAfterSeconds = hedge;
   return options;
 }
 

@@ -103,6 +103,9 @@ struct FleetPolicy {
   double attemptTimeoutSeconds = 20.0;
 };
 
+/// The largest fleet SCA_SHARDS may ask for.
+inline constexpr std::size_t kMaxShards = 64;
+
 struct FleetOptions {
   int shards = 1;
   /// Per-shard fault injection (FaultOptions::scaled mix, shard-salted
@@ -112,8 +115,10 @@ struct FleetOptions {
   int year = 2017;
   FleetPolicy policy;
 
-  /// SCA_SHARDS (int >= 1), SCA_FAULT_RATE (double) and SCA_HEDGE_S
-  /// (double, enables hedging) over defaults.
+  /// SCA_SHARDS (integer in 1..kMaxShards), SCA_FAULT_RATE (number >= 0)
+  /// and SCA_HEDGE_S (seconds > 0, enables hedging) over defaults, parsed
+  /// by util::envSize and util::envDouble. A malformed or out-of-range
+  /// value throws std::invalid_argument naming the variable.
   [[nodiscard]] static FleetOptions fromEnv();
 };
 

@@ -62,7 +62,7 @@ class SyntheticLlm : public LlmClient {
 
   // LlmClient: the in-process model is the always-healthy backend — its
   // fallible face simply wraps the infallible calls, so the call sequence
-  // (and therefore every byte of output) is identical whether the pipeline
+  // (and therefore every byte of output) is identical whether a caller
   // holds a SyntheticLlm or an undecorated LlmClient. The inherited
   // CallContext overloads stay visible: the model itself spends no
   // simulated time, so they forward here untouched.

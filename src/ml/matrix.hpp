@@ -21,11 +21,10 @@
 //   ...        rows     u32                (labels, int32 bit patterns)
 //   ...        rows     u32                (groups, int32 bit patterns)
 //
-// metaHash is the matrix sibling of the chain checkpoint's pinned header
-// (llm/checkpoint.hpp): the writer stores a hash of everything the bytes
-// depend on (corpus year, author range, extractor schema, ...) and the
-// reader rejects a file whose hash disagrees with what the caller expects
-// — a stale segment costs a recompute, never silent wrong data.
+// metaHash pins provenance: the writer stores a hash of everything the
+// bytes depend on (corpus year, author range, extractor schema, ...) and
+// the reader rejects a file whose hash disagrees with what the caller
+// expects — a stale segment costs a recompute, never silent wrong data.
 //
 // MatrixStreamWriter is the one writer. It streams row blocks straight to
 // a temp fd and renames on finish, so writing a 10^5-row matrix never

@@ -67,8 +67,8 @@ void note(EventKind kind, std::string_view name, std::uint64_t arg = 0,
           std::uint8_t level = 0);
 
 // Log feed (called by obs::logEvent before its own enabled gate): records
-// a kLog event named "component:event" so retries, failovers, evictions,
-// checkpoints etc. land in the ring even when SCA_LOG is unset.
+// a kLog event named "component:event" so retries, failovers, ejections
+// etc. land in the ring even when SCA_LOG is unset.
 void noteLog(std::uint8_t level, std::string_view component,
              std::string_view event);
 

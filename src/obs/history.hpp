@@ -19,8 +19,8 @@
 //    "phases":{"corpus_build":0.102,...},"counters":{"llm_retries":3,...}}
 //   ...
 //
-// Crash safety mirrors the cache index: the header and every record land
-// with one util::appendLine O_APPEND write each, so concurrent benches
+// Crash safety: the header and every record land with one util::appendLine
+// O_APPEND write each, so concurrent benches
 // interleave whole lines and a kill can tear at most the final line —
 // which load() skips (counted, not fatal). A wrong or missing magic means
 // the file is not ours: the history reads as empty rather than guessing.

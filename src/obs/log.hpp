@@ -2,11 +2,10 @@
 //
 // The metrics registry answers "how many"; traces answer "how long"; this
 // log answers "what happened, in order" — the retry that fired, the
-// breaker that opened, the cache entry that was evicted, the checkpoint
-// that resumed a chain. It is the repo's one logger: experiment progress
-// (corpus builds, CV folds) and pipeline warnings (degraded transform
-// steps, failed checkpoint writes) land here too. Each event is one
-// self-contained JSON line:
+// breaker that opened, the shard that was ejected, the request that failed
+// over. It is the repo's one logger: experiment progress (corpus builds,
+// CV folds) and warnings (watchdog stalls, deadline stops) land here too.
+// Each event is one self-contained JSON line:
 //
 //   {"ts_ns":182734,"level":"info","tid":2,"span":"000000020000000d",
 //    "component":"llm","event":"retry",
@@ -102,7 +101,7 @@ template <typename F>
 inline void logEvent(LogLevel level, std::string_view component,
                      std::string_view event, F&& fill) {
   // The flight recorder sees every log call site regardless of SCA_LOG, so
-  // retries, failovers, evictions and checkpoints land in the crash rings.
+  // retries, failovers and ejections land in the crash rings.
   if (flight::enabled()) {
     flight::noteLog(static_cast<std::uint8_t>(level), component, event);
   }

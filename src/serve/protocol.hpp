@@ -72,7 +72,7 @@ enum class Op {
 // Field validation bounds (parseRequest rejects values outside them with
 // a structured invalid_argument response instead of silently defaulting).
 inline constexpr long long kMaxChain = 1LL << 32;
-inline constexpr long long kMaxShard = 64;  // matches the SCA_SHARDS clamp
+inline constexpr long long kMaxShard = 64;  // = llm::kMaxShards
 inline constexpr long long kMaxDeadlineSeconds = 1LL << 20;
 
 [[nodiscard]] std::string_view opName(Op op) noexcept;

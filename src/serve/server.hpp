@@ -116,7 +116,8 @@ struct ServerOptions {
 
   /// SCA_SERVE_QUEUE / SCA_SERVE_BATCH / SCA_SERVE_BURST /
   /// SCA_SERVE_DEADLINE_S / SCA_SERVE_TIMING over defaults; fleet from
-  /// FleetOptions::fromEnv.
+  /// FleetOptions::fromEnv, whose std::invalid_argument on a malformed
+  /// fleet knob propagates.
   [[nodiscard]] static ServerOptions fromEnv();
 };
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -238,7 +239,8 @@ bool parseHex64(std::string_view text, std::uint64_t* out) {
   return true;
 }
 
-std::size_t envSize(const char* name, std::size_t fallback) {
+std::size_t envSize(const char* name, std::size_t fallback,
+                    std::size_t max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   const char* end = raw + std::strlen(raw);
@@ -247,6 +249,24 @@ std::size_t envSize(const char* name, std::size_t fallback) {
   if (ec != std::errc() || ptr != end || parsed == 0) {
     throw std::invalid_argument(std::string(name) + "=" + raw +
                                 ": expected a positive integer");
+  }
+  if (parsed > max) {
+    throw std::invalid_argument(std::string(name) + "=" + raw +
+                                ": expected at most " + std::to_string(max));
+  }
+  return parsed;
+}
+
+double envDouble(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const char* end = raw + std::strlen(raw);
+  double parsed = 0.0;
+  const auto [ptr, ec] = std::from_chars(raw, end, parsed);
+  if (ec != std::errc() || ptr != end || !std::isfinite(parsed) ||
+      parsed < 0.0) {
+    throw std::invalid_argument(std::string(name) + "=" + raw +
+                                ": expected a finite number >= 0");
   }
   return parsed;
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,17 +66,27 @@ namespace sca::util {
 [[nodiscard]] bool parseHex64(std::string_view text, std::uint64_t* out);
 
 /// The positive integer in environment variable `name`, or `fallback` when
-/// it is unset or empty. Anything else (`16x`, `abc`, `0`, `-1`, overflow)
-/// throws std::invalid_argument naming the variable and its value.
-[[nodiscard]] std::size_t envSize(const char* name, std::size_t fallback);
+/// it is unset or empty. Anything else (`16x`, `abc`, `0`, `-1`, overflow,
+/// a value above `max`) throws std::invalid_argument naming the variable
+/// and its value.
+[[nodiscard]] std::size_t envSize(
+    const char* name, std::size_t fallback,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
+
+/// The finite number >= 0 in environment variable `name`, or `fallback`
+/// when it is unset or empty. Anything else (`0.05x`, `abc`, `-1`, `inf`,
+/// overflow) throws std::invalid_argument naming the variable and its
+/// value.
+[[nodiscard]] double envDouble(const char* name, double fallback);
 
 // ------------------------------------------------ line-record JSON idioms --
-// The checkpoint, cache-index and bench-telemetry files are all JSONL: one
-// self-contained object per line, written by JsonObjectBuilder and read
-// back with the two field scanners. The scanners are deliberately not a
-// JSON parser: a field is located by its `"name":` needle, so they only
-// read formats this repo itself emits — but that also makes a torn or
-// truncated record fail loudly (false) instead of yielding half a value.
+// The run history, the structured event log and the serve protocol are all
+// JSONL: one self-contained object per line, written by JsonObjectBuilder
+// and read back with the field scanners below. The scanners are
+// deliberately not a JSON parser: a field is located by its `"name":`
+// needle, so they only read formats this repo itself emits — but that also
+// makes a torn or truncated record fail loudly (false) instead of yielding
+// half a value.
 
 /// Extracts the string value of `"field":"..."` from one record, honoring
 /// backslash escapes (result is jsonUnescape'd). False when the field is

@@ -69,10 +69,8 @@ TEST(Golden, OneShotPipelineMatchesPinnedDigest) {
   // Deltas, not totals: the other tests in this process move them too.
   const std::array<std::uint64_t, 4> before = stableCounterValues();
   const corpus::YearDataset data = corpus::buildYearDataset(2018, 24);
-  llm::BuildOptions options;  // explicit: no environment variable is read
-  options.steps = 3;
   const llm::TransformedDataset transformed =
-      llm::buildTransformedDataset(data, options);
+      llm::buildTransformedDataset(data, 3);
 
   std::vector<std::string> sources;
   std::vector<int> labels;

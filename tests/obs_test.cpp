@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "llm/checkpoint.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
@@ -828,55 +827,6 @@ TEST_F(ObsTest, ChromeTraceParsesBackToTheSameEvents) {
   }
 
   EXPECT_FALSE(parseChromeTrace("{\"notATrace\":[]}").ok());
-}
-
-// Satellite: the checkpoint inspector behind `sca_cli checkpoints`.
-TEST_F(ObsTest, CheckpointInspectorClassifiesFiles) {
-  const std::string dir = ::testing::TempDir() + "obs_test_ckpt";
-  llm::ChainKey key;
-  key.year = 2018;
-  key.settingIndex = 1;
-  key.settingLabel = "+C";
-  key.challenge = 2;
-  key.steps = 3;
-  key.originHash = 0xabcdef0123456789ull;
-  key.faultRate = 0.05;
-  ASSERT_TRUE(
-      llm::writeChainCheckpoint(dir, key, {"int a;", "int b;", "int c;"})
-          .isOk());
-
-  const std::string path = llm::chainCheckpointPath(dir, key);
-  const llm::CheckpointInfo good = llm::inspectChainCheckpoint(path);
-  EXPECT_TRUE(good.headerOk);
-  EXPECT_TRUE(good.complete);
-  EXPECT_EQ(good.verdict, "ok");
-  EXPECT_EQ(good.year, 2018);
-  EXPECT_EQ(good.setting, "+C");
-  EXPECT_EQ(good.steps, 3);
-  EXPECT_EQ(good.entries, 3u);
-
-  // Truncate after the second record: header fine, chain incomplete.
-  const util::Result<std::string> full = util::readFile(path);
-  ASSERT_TRUE(full.ok());
-  std::string truncated = full.value();
-  truncated.resize(truncated.rfind("{\"step\":3"));
-  const std::string shortPath = dir + "/chain_truncated.jsonl";
-  ASSERT_TRUE(util::atomicWriteFile(shortPath, truncated).isOk());
-  const llm::CheckpointInfo partial = llm::inspectChainCheckpoint(shortPath);
-  EXPECT_TRUE(partial.headerOk);
-  EXPECT_FALSE(partial.complete);
-  EXPECT_EQ(partial.verdict, "incomplete: 2/3 steps");
-
-  const std::string badPath = dir + "/chain_bad.jsonl";
-  ASSERT_TRUE(
-      util::atomicWriteFile(badPath, "{\"magic\":\"wrong\"}\n").isOk());
-  EXPECT_EQ(llm::inspectChainCheckpoint(badPath).verdict,
-            "bad magic \"wrong\"");
-
-  const llm::CheckpointInfo missing =
-      llm::inspectChainCheckpoint(dir + "/chain_missing.jsonl");
-  EXPECT_FALSE(missing.headerOk);
-  EXPECT_EQ(missing.verdict.rfind("unreadable:", 0), 0u);
 }
 
 }  // namespace

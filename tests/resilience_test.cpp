@@ -1,25 +1,18 @@
 // Tests for the resilience layer: Status/Result plumbing, deterministic
 // fault injection, retry/backoff schedules, the circuit breaker state
-// machine, graceful degradation, and checkpoint/resume bit-identity.
+// machine and output validation.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "ast/parser.hpp"
-#include "corpus/dataset.hpp"
-#include "llm/checkpoint.hpp"
 #include "llm/client.hpp"
 #include "llm/fault_injection.hpp"
-#include "llm/pipelines.hpp"
 #include "llm/resilient_client.hpp"
 #include "llm/synthetic_llm.hpp"
-#include "obs/metrics.hpp"
-#include "util/io.hpp"
 #include "util/status.hpp"
 
 namespace sca::llm {
@@ -65,7 +58,35 @@ class ScriptedClient : public LlmClient {
   util::Status failure_;
 };
 
-/// A backend that always fails — for budget and degradation tests.
+/// Fails `failures` calls in a row, then succeeds once, and repeats.
+class CyclingClient : public LlmClient {
+ public:
+  explicit CyclingClient(int failures) : failures_(failures) {}
+
+  util::Result<std::string> tryGenerate(const corpus::Challenge&) override {
+    return next();
+  }
+  util::Result<std::string> tryTransform(const std::string&) override {
+    return next();
+  }
+  [[nodiscard]] std::string_view describe() const override {
+    return "cycling";
+  }
+
+  int attempts = 0;
+
+ private:
+  util::Result<std::string> next() {
+    if (attempts++ % (failures_ + 1) < failures_) {
+      return util::Status(util::StatusCode::kTimeout, "cycling");
+    }
+    return std::string(kGoodSource);
+  }
+
+  int failures_;
+};
+
+/// A backend that always fails — for budget and breaker tests.
 class DeadClient : public LlmClient {
  public:
   util::Result<std::string> tryGenerate(const corpus::Challenge&) override {
@@ -84,14 +105,6 @@ RetryPolicy fastRetry(std::uint64_t seed = 7) {
   RetryPolicy policy;
   policy.seed = seed;
   return policy;
-}
-
-std::string tempDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / ("sca_" + name)).string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 // ----------------------------------------------------------- Status/Result
@@ -332,6 +345,20 @@ TEST(ResilientClient, RetriesUntilSuccess) {
   EXPECT_EQ(client.stats().retries, 3u);
 }
 
+TEST(ResilientClient, NonRetryableFailureIsFinalAfterOneAttempt) {
+  // A request the backend rejects as malformed fails the same way on every
+  // attempt, so the ladder stops at once with the backend's own Status and
+  // spends no retry budget.
+  ScriptedClient inner(
+      1, util::Status(util::StatusCode::kInvalidArgument, "bad request"));
+  ResilientClient client(inner, fastRetry());
+  const auto result = client.tryTransform("x");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(inner.attempts, 1);
+  EXPECT_EQ(client.stats().retries, 0u);
+}
+
 TEST(ResilientClient, BackoffScheduleIsDeterministicUnderFixedSeed) {
   ScriptedClient innerA(4);
   ScriptedClient innerB(4);
@@ -435,6 +462,22 @@ TEST(ResilientClient, BreakerOpensHalfOpensAndCloses) {
   // Fast-fails do not reach the backend: 12 failures + probes + 1 success.
   EXPECT_LT(inner.attempts,
             static_cast<int>(client.stats().attempts));
+}
+
+TEST(ResilientClient, SuccessResetsTheFailureStreak) {
+  // Every request fails twice and then succeeds: each run of failures is
+  // one short of the threshold, so the circuit never opens, however many
+  // runs there are in total.
+  CyclingClient inner(2);
+  BreakerPolicy breaker;
+  breaker.failureThreshold = 3;
+  ResilientClient client(inner, fastRetry(), breaker);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client.tryTransform("x").ok()) << "request " << i;
+  }
+  EXPECT_EQ(client.stats().breakerOpens, 0u);
+  EXPECT_EQ(client.breakerState(), ResilientClient::BreakerState::Closed);
+  EXPECT_EQ(inner.attempts, 30);
 }
 
 TEST(ResilientClient, FailedProbeReopensTheCircuit) {
@@ -559,225 +602,6 @@ TEST(ResilientClient, RejectsRefusalsAndGarbageThenRecovers) {
     EXPECT_TRUE(ast::parse(result.value()).clean);
   }
   EXPECT_GT(client.stats().validationFailures, 0u);
-}
-
-// ----------------------------------------------------------- degradation
-
-TEST(TransformSchedules, NctDegradesToOriginal) {
-  DeadClient client;
-  const std::string original = "int main() {\n    return 0;\n}\n";
-  ResilientClient resilient(client, fastRetry());
-  const auto outputs = nonChainingTransform(resilient, original, 5);
-  ASSERT_TRUE(outputs.ok());
-  ASSERT_EQ(outputs.value().size(), 5u);
-  for (const std::string& out : outputs.value()) {
-    EXPECT_EQ(out, original);  // failed NCT step = untransformed original
-  }
-}
-
-TEST(TransformSchedules, CtDegradesToLastGoodOutput) {
-  // Succeeds twice, then dies: steps 3..5 must repeat step 2's output.
-  class TwoThenDead : public LlmClient {
-   public:
-    util::Result<std::string> tryGenerate(const corpus::Challenge&) override {
-      return util::Status(util::StatusCode::kInternal, "unused");
-    }
-    util::Result<std::string> tryTransform(const std::string&) override {
-      if (++calls <= 2) {
-        return "int main() {\n    int v" + std::to_string(calls) +
-               " = 0;\n    return 0;\n}\n";
-      }
-      return util::Status(util::StatusCode::kTimeout, "dead");
-    }
-    [[nodiscard]] std::string_view describe() const override { return "t"; }
-    int calls = 0;
-  };
-
-  TwoThenDead inner;
-  RetryPolicy policy = fastRetry();
-  policy.maxAttempts = 2;
-  policy.retryBudget = 2;
-  ResilientClient client(inner, policy);
-  const auto outputs =
-      chainingTransform(client, "int main() {\n    return 0;\n}\n", 5);
-  ASSERT_TRUE(outputs.ok());
-  const std::vector<std::string>& chain = outputs.value();
-  ASSERT_EQ(chain.size(), 5u);
-  EXPECT_NE(chain[0], chain[1]);
-  EXPECT_EQ(chain[2], chain[1]);  // degraded: last good output
-  EXPECT_EQ(chain[3], chain[1]);
-  EXPECT_EQ(chain[4], chain[1]);
-}
-
-TEST(TransformSchedules, AbortPolicyPropagatesStatus) {
-  DeadClient client;
-  TransformPolicy policy;
-  policy.degradeOnFailure = false;
-  const auto result =
-      nonChainingTransform(client, "int main() {}", 3, policy);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kTimeout);
-}
-
-// ----------------------------------------------------------- checkpoints
-
-ChainKey testKey() {
-  ChainKey key;
-  key.year = 2018;
-  key.settingIndex = 1;
-  key.settingLabel = "+C";
-  key.challenge = 3;
-  key.steps = 3;
-  key.originHash = util::hash64("original");
-  key.faultRate = 0.05;
-  return key;
-}
-
-TEST(Checkpoint, RoundTripsExactBytes) {
-  const std::string dir = tempDir("ckpt_roundtrip");
-  const std::vector<std::string> outputs = {
-      "int main() {\n    return 0;\n}\n",
-      "line with \"quotes\" and \\ backslash\n\ttab",
-      "",
-  };
-  ASSERT_TRUE(writeChainCheckpoint(dir, testKey(), outputs).isOk());
-  const auto loaded = loadChainCheckpoint(dir, testKey());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-  EXPECT_EQ(loaded.value(), outputs);
-  // A key with no file in the directory misses cleanly.
-  ChainKey missing = testKey();
-  missing.challenge = 9;
-  EXPECT_FALSE(loadChainCheckpoint(dir, missing).ok());
-}
-
-TEST(Checkpoint, StaleHeadersAreRejected) {
-  const std::string dir = tempDir("ckpt_stale");
-  const std::vector<std::string> outputs = {"a", "b", "c"};
-  ASSERT_TRUE(writeChainCheckpoint(dir, testKey(), outputs).isOk());
-
-  ChainKey wrongSteps = testKey();
-  wrongSteps.steps = 4;
-  EXPECT_FALSE(loadChainCheckpoint(dir, wrongSteps).ok());
-
-  ChainKey wrongOrigin = testKey();
-  wrongOrigin.originHash = util::hash64("different original");
-  EXPECT_FALSE(loadChainCheckpoint(dir, wrongOrigin).ok());
-
-  ChainKey wrongRate = testKey();
-  wrongRate.faultRate = 0.0;
-  EXPECT_FALSE(loadChainCheckpoint(dir, wrongRate).ok());
-}
-
-TEST(Checkpoint, TornFilesAreRejected) {
-  const std::string dir = tempDir("ckpt_torn");
-  const std::vector<std::string> outputs = {"aaaa", "bbbb", "cccc"};
-  ASSERT_TRUE(writeChainCheckpoint(dir, testKey(), outputs).isOk());
-  const std::string path = chainCheckpointPath(dir, testKey());
-
-  // Simulate a kill mid-write of a non-atomic writer: chop the file mid
-  // final record.
-  const auto full = util::readFile(path);
-  ASSERT_TRUE(full.ok());
-  std::ofstream torn(path, std::ios::binary | std::ios::trunc);
-  torn << full.value().substr(0, full.value().size() - 6);
-  torn.close();
-
-  EXPECT_FALSE(loadChainCheckpoint(dir, testKey()).ok());
-}
-
-TEST(Checkpoint, FailedWritesAreCountedNotFatal) {
-  const corpus::YearDataset corpus = corpus::buildYearDataset(2018, 10);
-  BuildOptions options;
-  options.steps = 1;
-  // A regular file where the directory should be: every write fails.
-  options.checkpointDir = tempDir("ckpt_unwritable") + "/not_a_dir";
-  std::ofstream(options.checkpointDir) << "x";
-  const obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  const std::uint64_t before = registry.counterValue("ckpt_write_failures");
-
-  const TransformedDataset dataset = buildTransformedDataset(corpus, options);
-  const std::size_t chains = corpus.challenges.size() * allSettings().size();
-  EXPECT_EQ(dataset.samples.size(), chains * options.steps);
-  EXPECT_EQ(registry.counterValue("ckpt_write_failures") - before, chains);
-}
-
-TEST(Checkpoint, KillAndResumeIsBitIdentical) {
-  const corpus::YearDataset corpus = corpus::buildYearDataset(2018, 10);
-
-  BuildOptions plain;
-  plain.steps = 3;
-  const TransformedDataset uninterrupted =
-      buildTransformedDataset(corpus, plain);
-
-  // First run persists every chain.
-  BuildOptions checkpointed = plain;
-  checkpointed.checkpointDir = tempDir("ckpt_resume");
-  const TransformedDataset firstRun =
-      buildTransformedDataset(corpus, checkpointed);
-
-  // Simulate a mid-build kill: some chains checkpointed, one torn by a
-  // non-atomic writer, the rest never started.
-  std::size_t removed = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(checkpointed.checkpointDir)) {
-    if (removed < 5) {
-      std::filesystem::remove(entry.path());
-      ++removed;
-    } else if (removed == 5) {
-      std::ofstream torn(entry.path(), std::ios::binary | std::ios::trunc);
-      torn << "{\"magic\":\"sca-chain-v1\",\"year\":2018,\"set";
-      ++removed;
-    }
-  }
-  ASSERT_GE(removed, 6u);
-
-  const TransformedDataset resumed =
-      buildTransformedDataset(corpus, checkpointed);
-
-  ASSERT_EQ(resumed.samples.size(), uninterrupted.samples.size());
-  for (std::size_t i = 0; i < resumed.samples.size(); ++i) {
-    ASSERT_EQ(resumed.samples[i].source, uninterrupted.samples[i].source)
-        << "sample " << i;
-    ASSERT_EQ(resumed.samples[i].setting, uninterrupted.samples[i].setting);
-    ASSERT_EQ(resumed.samples[i].step, uninterrupted.samples[i].step);
-  }
-  ASSERT_EQ(firstRun.samples.size(), uninterrupted.samples.size());
-  for (std::size_t i = 0; i < firstRun.samples.size(); ++i) {
-    ASSERT_EQ(firstRun.samples[i].source, uninterrupted.samples[i].source);
-  }
-}
-
-// -------------------------------------------------- end-to-end invariants
-
-TEST(ResilientPipeline, FaultsOnReproducesFaultsOffByteForByte) {
-  const corpus::YearDataset corpus = corpus::buildYearDataset(2017, 10);
-
-  BuildOptions off;
-  off.steps = 3;
-  BuildOptions on = off;
-  on.faultRate = 0.05;
-
-  const TransformedDataset clean = buildTransformedDataset(corpus, off);
-  const TransformedDataset faulted = buildTransformedDataset(corpus, on);
-
-  ASSERT_EQ(clean.samples.size(), faulted.samples.size());
-  for (std::size_t i = 0; i < clean.samples.size(); ++i) {
-    ASSERT_EQ(clean.samples[i].source, faulted.samples[i].source)
-        << "sample " << i;
-  }
-}
-
-TEST(ResilientPipeline, HeavyFaultsStillCompleteEveryChain) {
-  const corpus::YearDataset corpus = corpus::buildYearDataset(2019, 10);
-  BuildOptions options;
-  options.steps = 2;
-  options.faultRate = 0.5;
-  const TransformedDataset dataset = buildTransformedDataset(corpus, options);
-  EXPECT_EQ(dataset.samples.size(),
-            corpus.challenges.size() * allSettings().size() * options.steps);
-  for (const TransformedSample& sample : dataset.samples) {
-    EXPECT_FALSE(sample.source.empty());
-  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Tests for the sharded fleet layer: deterministic routing, failover
 // byte-identity (including the failed-turn canonical-conversation rule),
-// the ShardSet health fold (ejection / cooldown / probe / recovery), and
-// the honest health report.
+// the ShardSet health fold (ejection / cooldown / probe / recovery), the
+// honest health report, and the fleet's environment knobs.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/challenges.hpp"
@@ -241,6 +245,70 @@ TEST(ShardSet, HealthJsonReportsStateAndChaosFlags) {
   EXPECT_NE(json.find("\"state\":\"closed\""), std::string::npos);
   EXPECT_NE(json.find("\"killed\":true"), std::string::npos);
   EXPECT_NE(json.find("\"slowed\":true"), std::string::npos);
+}
+
+TEST(FleetOptions, EnvOverrides) {
+  // The caller's values are put back at the end, so later tests in this
+  // process see the environment they started with.
+  const char* const names[] = {"SCA_SHARDS", "SCA_FAULT_RATE", "SCA_HEDGE_S"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* name : names) {
+    const char* value = std::getenv(name);
+    saved.push_back(value ? std::optional<std::string>(value) : std::nullopt);
+    ::unsetenv(name);
+  }
+
+  const FleetOptions defaults = FleetOptions::fromEnv();
+  EXPECT_EQ(defaults.shards, 1);
+  EXPECT_EQ(defaults.faultRate, 0.0);
+  EXPECT_EQ(defaults.policy.hedgeAfterSeconds, 0.0);
+
+  ::setenv("SCA_SHARDS", "64", 1);
+  ::setenv("SCA_FAULT_RATE", "0.05", 1);
+  ::setenv("SCA_HEDGE_S", "0.3", 1);
+  const FleetOptions set = FleetOptions::fromEnv();
+  EXPECT_EQ(set.shards, 64);
+  EXPECT_EQ(set.faultRate, 0.05);
+  EXPECT_EQ(set.policy.hedgeAfterSeconds, 0.3);
+
+  ::setenv("SCA_SHARDS", "", 1);  // empty still means unset
+  ::setenv("SCA_FAULT_RATE", "0", 1);
+  ::unsetenv("SCA_HEDGE_S");
+  const FleetOptions fresh = FleetOptions::fromEnv();
+  EXPECT_EQ(fresh.shards, 1);
+  EXPECT_EQ(fresh.faultRate, 0.0);
+  EXPECT_EQ(fresh.policy.hedgeAfterSeconds, 0.0);
+  ::unsetenv("SCA_FAULT_RATE");
+
+  // A malformed or out-of-range value throws, naming the variable and its
+  // value.
+  const auto error = []() -> std::string {
+    try {
+      (void)FleetOptions::fromEnv();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"SCA_SHARDS", "4x"},         {"SCA_SHARDS", "65"},
+      {"SCA_SHARDS", "0"},          {"SCA_SHARDS", "-1"},
+      {"SCA_FAULT_RATE", "0.05x"},  {"SCA_FAULT_RATE", "-1"},
+      {"SCA_FAULT_RATE", "abc"},    {"SCA_FAULT_RATE", "inf"},
+      {"SCA_HEDGE_S", "abc"},       {"SCA_HEDGE_S", "0"},
+      {"SCA_HEDGE_S", "-1"},        {"SCA_HEDGE_S", "1e999"},
+  };
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    EXPECT_NE(error().find(std::string(name) + "=" + value),
+              std::string::npos)
+        << name << "=" << value << ": " << error();
+    ::unsetenv(name);
+  }
+
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i]) ::setenv(names[i], saved[i]->c_str(), 1);
+  }
 }
 
 }  // namespace

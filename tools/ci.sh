@@ -5,10 +5,10 @@
 #   2. ThreadSanitizer — the same suite under -fsanitize=thread, proving the
 #      shared runtime pool, the feature analysis cache and the parallel
 #      fold/forest paths are race-free.
-#   3. AddressSanitizer + fault injection — the same suite under
-#      -fsanitize=address with SCA_FAULT_RATE>0, so every env-driven
-#      pipeline exercises the fault-injection/retry/degradation stack and
-#      the parser-hardening paths while ASan watches for memory errors.
+#   3. AddressSanitizer — the same suite under -fsanitize=address. The
+#      fault-injection and retry stack runs there through resilience_test,
+#      sharded_test and serve_test, and the parser-hardening paths through
+#      the parser suites, while ASan watches for memory errors.
 #
 # After the Release suite, the concurrency-heavy suites (Obs, Flight,
 # Serve, Shard, Runtime) run 20 times in a row, so a test that fails one
@@ -22,11 +22,11 @@
 # reach; each run must report "correct": true and no failed operation.
 #
 # An observability smoke then runs the deterministic one-shot pipeline
-# (SCA_PIPELINE_ONCE) at 1 and 8 threads with tracing and fault injection
-# on, validates the emitted manifest and Chrome trace with sca_cli (which
-# exits nonzero on malformed files or an empty metrics snapshot), and
-# byte-compares the "[pipeline]" output lines and the stable metrics
-# sections — the thread-count-invariance contract, checked on every PR.
+# (SCA_PIPELINE_ONCE) at 1 and 8 threads with tracing on, validates the
+# emitted manifest and Chrome trace with sca_cli (which exits nonzero on
+# malformed files or an empty metrics snapshot), and byte-compares the
+# "[pipeline]" output lines and the stable metrics sections — the
+# thread-count-invariance contract, checked on every PR.
 #
 # A paper-sweep smoke then runs bench/paper_sweep (every table, figure and
 # ablation) at a quick scale at SCA_THREADS=1 and 4: the CSVs and stable
@@ -63,7 +63,7 @@
 # reader faces seeded mutants and streamed segments; the span recorder
 # (obs_test, flight_test), whose ring slots and chunked trace lists are
 # indexed by per-thread counters; and the string scanners (util_test),
-# whose integer fields parse untrusted serve requests and checkpoints.
+# whose integer fields parse untrusted serve requests and history records.
 #
 # Last, a perf-seed smoke runs the one-shot pipeline against the committed
 # seed baseline (tools/perf/seed_baseline.jsonl): `history check` must pass
@@ -118,12 +118,8 @@ obs_smoke() {
   rm -rf "$dir" && mkdir -p "$dir"
   local t
   for t in 1 8; do
-    # SCA_CHECKPOINT_DIR is cleared so a caller's checkpoint directory
-    # cannot change what work the two runs actually perform (resumed
-    # chains would legitimately differ).
     (cd "$dir" &&
-     SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR= \
+     SCA_PIPELINE_ONCE=1 SCA_THREADS=$t \
        SCA_TRACE="trace_t$t.json" SCA_MANIFEST="manifest_t$t.json" \
        ../bench/micro_pipeline) | grep '^\[pipeline\]' \
       > "$dir/pipeline_t$t.txt"
@@ -155,7 +151,7 @@ sweep_smoke() {
     mkdir -p "$dir/t$t"
     (cd "$dir/t$t" &&
      SCA_AUTHORS=16 SCA_STEPS=4 SCA_TREES=20 SCA_SET=3 SCA_TOPK=350 \
-       SCA_THREADS=$t SCA_HISTORY=off SCA_MANIFEST= SCA_CHECKPOINT_DIR= \
+       SCA_THREADS=$t SCA_HISTORY=off SCA_MANIFEST= \
        ../../bench/paper_sweep > sweep.out &&
      [ "$(ls bench_out/manifest.*)" = bench_out/manifest.paper_sweep.json ] &&
      grep -q '"status":"complete"' bench_out/manifest.paper_sweep.json &&
@@ -188,8 +184,7 @@ history_smoke() {
   local cli=build-release/tools/sca_cli
   run_pipeline() {
     (cd "$dir" &&
-     SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR= SCA_HISTORY="$hist" \
+     SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_HISTORY="$hist" \
        SCA_OBS_TEST_DELAY_MS="${1:-}" \
        ../bench/micro_pipeline > /dev/null)
   }
@@ -241,14 +236,30 @@ history_smoke
 # CI log, not just as an exit code. A JSONL round-trip through `sca_cli
 # serve` then proves the wire loop is deterministic (two identical runs),
 # drains gracefully under a kill + shutdown schedule, and feeds the same
-# perf-history gate as every bench. (The serve/sharded unit tests also run
-# under TSan via the build-tsan suite below.)
+# perf-history gate as every bench. A malformed fleet knob must exit 2
+# before any work: sca_cli serve writes no response line, and macro_serve
+# runs no pass. (The serve/sharded unit tests also run under TSan via the
+# build-tsan suite below.)
 serve_chaos_smoke() {
   echo "=== serve-chaos smoke (build-release) ==="
   local dir=build-release/serve-smoke
   rm -rf "$dir" && mkdir -p "$dir"
   local hist="$PWD/$dir/history.jsonl"
   local cli=build-release/tools/sca_cli
+
+  local status=0
+  echo '{"op":"generate","id":"a0","chain":0,"challenge":0}' |
+    env SCA_FAULT_RATE=0.05x "$cli" serve > "$dir/serve_bad.jsonl" \
+      2> /dev/null || status=$?
+  [ "$status" -eq 2 ] && [ ! -s "$dir/serve_bad.jsonl" ] ||
+    { echo "serve-chaos smoke: SCA_FAULT_RATE=0.05x serve exited" \
+           "$status or wrote a response" >&2; exit 1; }
+  status=0
+  (cd "$dir" && SCA_SHARDS=4x ../bench/macro_serve > macro_serve_bad.out \
+     2>&1) || status=$?
+  [ "$status" -eq 2 ] ||
+    { echo "serve-chaos smoke: SCA_SHARDS=4x macro_serve exited" \
+           "$status, not 2" >&2; exit 1; }
 
   (cd "$dir" &&
    SCA_THREADS=4 SCA_SHARDS=4 SCA_FAULT_RATE=0.15 SCA_HISTORY="$hist" \
@@ -417,7 +428,6 @@ scale_smoke() {
      env "$@" SCA_THREADS="$threads" SCA_SCALE_AUTHORS=64 \
        SCA_SCALE_SHARD="$shard" SCA_SCALE_TRAIN_AUTHORS=24 \
        SCA_SCALE_TREES=6 SCA_SCALE_DIR="$corpus" \
-       SCA_CHECKPOINT_DIR= \
        SCA_MANIFEST="manifest_$tag.json" \
        ../bench/macro_scale > "out_$tag.txt")
   }
@@ -493,33 +503,6 @@ scale_smoke() {
 }
 scale_smoke
 
-# Checkpoint-resume smoke: a second one-shot run against the chain
-# checkpoints the first run wrote must load them (nonzero
-# ckpt_chains_loaded in its manifest) and reproduce the first run's
-# pipeline digest byte for byte.
-checkpoint_resume_smoke() {
-  echo "=== checkpoint-resume smoke (build-release) ==="
-  local dir=build-release/checkpoint-resume-smoke
-  rm -rf "$dir" && mkdir -p "$dir"
-  local ckpt="$PWD/$dir/ckpt"
-
-  run_once() {
-    (cd "$dir" &&
-     SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_FAULT_RATE=0.05 \
-       SCA_CHECKPOINT_DIR="$ckpt" SCA_MANIFEST="manifest_$1.json" \
-       ../bench/micro_pipeline) | grep '^\[pipeline\]'
-  }
-  run_once fresh > "$dir/pipeline_fresh.txt"
-  run_once resumed > "$dir/pipeline_resumed.txt"
-  cmp "$dir/pipeline_fresh.txt" "$dir/pipeline_resumed.txt" ||
-    { echo "checkpoint-resume smoke: resumed run diverged" >&2; exit 1; }
-  grep -Eq '"ckpt_chains_loaded":[1-9]' "$dir/manifest_resumed.json" ||
-    { echo "checkpoint-resume smoke: resumed run loaded no chains" >&2
-      exit 1; }
-  echo "=== checkpoint-resume smoke ok ==="
-}
-checkpoint_resume_smoke
-
 # Flight-recorder smoke: the recorder's hard invariant is that it OBSERVES
 # without participating — stable output bytes are identical with the rings
 # and watchdog armed, with only the trace recorded (SCA_TRACE and
@@ -546,8 +529,7 @@ flight_smoke() {
       [ "$mode" = on ] || events=0
       [ "$mode" = trace ] && trace="trace_t$t.json"
       (cd "$dir" &&
-       SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_FAULT_RATE=0.05 \
-         SCA_CHECKPOINT_DIR= SCA_TRACE="$trace" \
+       SCA_PIPELINE_ONCE=1 SCA_THREADS=$t SCA_TRACE="$trace" \
          SCA_FLIGHT_EVENTS=$events SCA_WATCHDOG_S=2 \
          SCA_FLIGHT_DIR="flight_t${t}_$mode" \
          SCA_MANIFEST="manifest_t${t}_$mode.json" \
@@ -585,8 +567,7 @@ flight_smoke() {
   # 2) Wedged pool task (test hook stalls the first task for 6s) must trip
   # the 1s watchdog; the run still completes, the dump names the stall.
   (cd "$dir" &&
-   SCA_PIPELINE_ONCE=1 SCA_THREADS=4 SCA_FAULT_RATE=0.05 \
-     SCA_CHECKPOINT_DIR= \
+   SCA_PIPELINE_ONCE=1 SCA_THREADS=4 \
      SCA_OBS_TEST_STALL_MS=6000 SCA_WATCHDOG_S=1 \
      SCA_FLIGHT_DIR=flight-wedge SCA_MANIFEST=manifest_wedge.json \
      ../bench/micro_pipeline > wedge.out 2>&1) ||
@@ -639,12 +620,11 @@ flight_smoke
 # from the caller's environment turn the parallel paths off.
 SCA_THREADS="${SCA_TSAN_THREADS:-4}" \
   run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=thread
-# Faults-on pass: dataset builders read SCA_FAULT_RATE from the environment,
-# so the whole suite runs through the resilient client stack (injection,
-# retries, validation re-parses) under ASan. The determinism tests still
-# pass because retried output is byte-identical to a faults-off run.
-SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
-  run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
+# ASan pass: the fault stack (injection, retries, the breaker, validation
+# re-parses, shard failover and replay) runs under ASan through
+# resilience_test, sharded_test and serve_test, which set their fault rates
+# in code; no tier-1 test takes one from the caller's environment.
+run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
 
 # ASan+UBSan focused pass over five groups. The zero-copy lexer and the
 # arena parser: every token is a string_view into a shared buffer and every
@@ -663,7 +643,7 @@ SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
 # packed into fixed slot words, ring slots are indexed modulo the
 # capacity, and traced spans land in chunked per-thread lists indexed by
 # count (obs_test, flight_test). The string scanners: jsonIntField reads
-# integers out of serve requests and chain checkpoints, where a too-long
+# integers out of serve requests and history records, where a too-long
 # number once overflowed a signed accumulator (util_test). The binaries
 # run directly (not via ctest) because only these eleven targets are
 # built in this tree.

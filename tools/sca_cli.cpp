@@ -11,11 +11,12 @@
 //   sca_cli diff <manifestA> <manifestB>            compare two manifests
 //   sca_cli trace <trace.json> [--summary]          summarize a Chrome trace
 //   sca_cli history list|check|gc [path]            cross-run perf history
-//   sca_cli checkpoints [dir] [--purge-stale]      inspect checkpoints
 //   sca_cli serve                                   JSONL serving loop on
 //                                                   stdin/stdout
 //   sca_cli serve-report <log> [--slowest N]        per-request lifecycle
 //                                                   report from an SCA_LOG
+//   sca_cli postmortem <file> [--events N]          render a flight-
+//                                                   recorder dump
 //
 // No arguments (or `help`) prints the full usage listing and exits 0; an
 // unknown subcommand prints the same listing to stderr and exits nonzero.
@@ -25,18 +26,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/attribution_model.hpp"
 #include "corpus/dataset.hpp"
 #include "evasion/evasion.hpp"
-#include "llm/checkpoint.hpp"
 #include "llm/synthetic_llm.hpp"
 #include "obs/flight.hpp"
 #include "obs/flight_report.hpp"
@@ -87,11 +87,6 @@ void printUsage(std::ostream& out) {
       "                              cross-run perf history; default path\n"
       "                              $SCA_HISTORY or\n"
       "                              bench_out/history/history.jsonl\n"
-      "  checkpoints [dir] [--purge-stale]\n"
-      "                              inspect chain checkpoints; with\n"
-      "                              --purge-stale, delete files whose\n"
-      "                              header contradicts their filename\n"
-      "                              (default $SCA_CHECKPOINT_DIR)\n"
       "  serve                       JSONL serving loop on stdin/stdout\n"
       "                              over a sharded LLM fleet (SCA_SHARDS,\n"
       "                              SCA_FAULT_RATE, SCA_SERVE_QUEUE,\n"
@@ -563,98 +558,28 @@ int cmdHistory(const std::vector<std::string>& args) {
   return report.ok() ? 0 : 1;
 }
 
-int cmdCheckpoints(const std::vector<std::string>& args) {
-  std::string dir;
-  bool purgeStale = false;
-  for (const std::string& arg : args) {
-    if (arg == "--purge-stale") {
-      purgeStale = true;
-    } else if (dir.empty() && arg.rfind("--", 0) != 0) {
-      dir = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (dir.empty()) {
-    if (const char* env = std::getenv("SCA_CHECKPOINT_DIR");
-        env != nullptr && *env != '\0') {
-      dir = env;
-    } else {
-      std::cerr << "error: no directory given and SCA_CHECKPOINT_DIR unset\n";
-      return 2;
-    }
-  }
-  if (!std::filesystem::is_directory(dir)) {
-    std::cerr << "error: " << dir << " is not a directory\n";
-    return 1;
-  }
-
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("chain_", 0) == 0 &&
-        entry.path().extension() == ".jsonl") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-
-  if (paths.empty()) {
-    std::cout << "no chain checkpoints in " << dir << '\n';
-    return 0;
-  }
-
-  std::size_t complete = 0;
-  std::size_t stale = 0;
-  std::size_t purged = 0;
-  for (const std::string& path : paths) {
-    const llm::CheckpointInfo info = llm::inspectChainCheckpoint(path);
-    std::cout << std::filesystem::path(path).filename().string() << ": ";
-    if (info.headerOk) {
-      std::cout << "y" << info.year << " " << info.setting << " c"
-                << info.challenge << " steps " << info.entries << "/"
-                << info.steps << " origin " << info.originHash
-                << " fault_rate " << info.faultRate << " - " << info.verdict
-                << '\n';
-    } else {
-      std::cout << info.verdict << '\n';
-    }
-    if (info.complete && !info.stale) ++complete;
-    if (info.stale) {
-      ++stale;
-      if (purgeStale) {
-        std::error_code ec;
-        if (std::filesystem::remove(path, ec) && !ec) {
-          ++purged;
-          std::cout << "  purged\n";
-        } else {
-          std::cout << "  PURGE FAILED: " << ec.message() << '\n';
-        }
-      }
-    }
-  }
-  std::cout << complete << "/" << paths.size() << " loose chains complete";
-  if (stale > 0) {
-    std::cout << ", " << stale << " stale";
-    if (purgeStale) std::cout << " (" << purged << " purged)";
-  }
-  std::cout << '\n';
-  return 0;
-}
-
 /// `serve`: the JSONL serving loop (src/serve/server.hpp) on
 /// stdin/stdout. Responses and the drain record go to stdout; the human
 /// summary goes to stderr. With SCA_MANIFEST set, the run's manifest is
 /// written on exit; with SCA_HISTORY set, one history record is appended —
 /// the same artifacts a bench run leaves, so `sca_cli history check` and
-/// the CI smoke gates cover serving runs too.
+/// the CI smoke gates cover serving runs too. A malformed fleet knob
+/// (SCA_SHARDS, SCA_FAULT_RATE, SCA_HEDGE_S) exits 2 before anything is
+/// read or served.
 int cmdServe(const std::vector<std::string>& args) {
   if (!args.empty()) return usage();
+  serve::ServerOptions options;
+  try {
+    options = serve::ServerOptions::fromEnv();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
+  }
   // Arm crash forensics for the whole serving session: a wedged shard or a
   // crash mid-stream leaves a postmortem under bench_out/flight/.
   obs::flight::ArmedScope flightScope(obs::flight::armOptionsFromEnv("serve"));
   const auto start = std::chrono::steady_clock::now();
-  serve::Server server(serve::ServerOptions::fromEnv());
+  serve::Server server(options);
   const serve::ServeStats stats = server.run(std::cin, std::cout);
   const double totalSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -761,7 +686,6 @@ int dispatch(const std::string& command,
   if (command == "diff") return cmdDiff(args);
   if (command == "trace") return cmdTrace(args);
   if (command == "history") return cmdHistory(args);
-  if (command == "checkpoints") return cmdCheckpoints(args);
   if (command == "serve") return cmdServe(args);
   if (command == "serve-report") return cmdServeReport(args);
   if (command == "postmortem") return cmdPostmortem(args);
