@@ -496,9 +496,8 @@ std::vector<double> FeatureExtractor::transform(
 
 std::vector<double> FeatureExtractor::transformUncached(
     const std::string& source) const {
-  // How many samples run uncached depends on resume history (a resumed
-  // corpus build re-renders only missing shards), so the counter is
-  // runtime-class — it must not perturb stable digests across resumes.
+  // Only measurement paths call this, as often as their timing needs, so
+  // the counter is runtime-class and stays out of the stable digest.
   static obs::Counter uncached = obs::MetricsRegistry::global().counter(
       "features_uncached_transforms", obs::Stability::kRuntime);
   uncached.add();

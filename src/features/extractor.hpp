@@ -48,9 +48,10 @@ class FeatureExtractor {
 
   /// transform() minus the process-global analysis cache: lex + layout +
   /// parse run fresh and nothing is retained.
-  /// Bit-identical output to transform(). Out-of-core corpus generation
-  /// uses this — memoizing 10^5+ distinct sources that are each touched
-  /// once would defeat the bounded-RSS contract.
+  /// Bit-identical output to transform(). It is the cold path, kept so a
+  /// file never seen before can be timed on its own (the per-layer
+  /// benchmark's features.transform layer) and checked against the memo's
+  /// output (the golden warm/cold check).
   [[nodiscard]] std::vector<double> transformUncached(
       const std::string& source) const;
 

@@ -1,7 +1,5 @@
 // Dense labelled dataset for the classifiers: owned feature rows and their
-// class labels. Matrices larger than memory stay in an sca-matrix-v1 file
-// (matrix.hpp); a caller copies the rows it trains or predicts on into a
-// Dataset or a row vector.
+// class labels.
 #pragma once
 
 #include <cstddef>

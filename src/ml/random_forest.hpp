@@ -14,7 +14,7 @@ namespace sca::ml {
 
 struct ForestConfig {
   std::size_t treeCount = 120;
-  TreeConfig tree;
+  TreeConfig tree{};
   std::uint64_t seed = 17;
   /// Cap on concurrent fit/predict tasks in the shared runtime pool;
   /// 0 = no cap (pool size, i.e. SCA_THREADS or hardware concurrency).
@@ -35,7 +35,7 @@ class RandomForest {
   }
   /// One vote per row, in row order. Each vote is a pure function of its
   /// row and the trained trees, so the output is the same at any thread
-  /// count and for any split of a matrix into row blocks.
+  /// count and for any split of the rows into batches.
   [[nodiscard]] std::vector<int> predictAll(
       const std::vector<std::vector<double>>& rows) const;
 

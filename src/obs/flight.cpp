@@ -627,8 +627,6 @@ const char* eventKindName(std::uint8_t kind) noexcept {
       return "log";
     case EventKind::kPhase:
       return "phase";
-    case EventKind::kStream:
-      return "stream";
   }
   return "unknown";
 }

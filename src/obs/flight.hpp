@@ -5,7 +5,7 @@
 // Every thread that records anything owns one record, never freed, whose
 // tid is the thread id the dumps, the Chrome trace and the event log all
 // print. It holds a fixed-size overwrite-oldest ring of compact events
-// (span begin/end, log records, phases, stream progress) plus a bounded
+// (span begin/end, log records, phases) plus a bounded
 // stack of currently-active span names, and, while tracing is on, the
 // closed spans obs::Tracer reads (kept until Tracer::clear()). Rings
 // are single-writer (the owning thread) and multi-reader (watchdog
@@ -41,7 +41,6 @@ enum class EventKind : std::uint8_t {
   kSpanEnd = 2,
   kLog = 3,
   kPhase = 4,
-  kStream = 5,
 };
 
 // Stable text name for an event kind ("span_begin", "log", ...).

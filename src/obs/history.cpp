@@ -350,9 +350,8 @@ RegressionReport checkRegressions(const std::vector<HistoryRecord>& records,
     }
 
     // Memory: peak RSS against the baseline median, dual-gated like time.
-    // At out-of-core scale the binding constraint is resident memory, not
-    // wall clock — a run that got no slower but quietly rematerialized the
-    // matrix must fail the same way a slowdown does.
+    // A run that got no slower but quietly holds far more memory must fail
+    // the same way a slowdown does.
     if (current.maxRssKb > 0) {
       std::vector<double> rssHistory;
       for (const HistoryRecord* past : baseline) {

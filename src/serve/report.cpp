@@ -110,7 +110,7 @@ std::vector<OpSlo> ServeReport::sloTable() const {
   for (const RequestRecord& record : requests_) {
     auto it = byOp.find(record.op);
     if (it == byOp.end()) {
-      it = byOp.emplace(record.op, OpSlo{}).first;
+      it = byOp.emplace(record.op, OpSlo()).first;
       it->second.op = record.op;
     }
     OpSlo& row = it->second;

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
@@ -46,29 +45,21 @@ struct ServeCounters {
   }
 };
 
-long long envLong(const char* name, long long fallback, long long lo,
-                  long long hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw, &end, 10);
-  if (end == raw || parsed < lo || parsed > hi) return fallback;
-  return parsed;
-}
-
 }  // namespace
 
 ServerOptions ServerOptions::fromEnv() {
   ServerOptions options;
-  options.queueCapacity = static_cast<std::size_t>(
-      envLong("SCA_SERVE_QUEUE", 64, 1, 1 << 20));
-  options.batchSize = static_cast<std::size_t>(
-      envLong("SCA_SERVE_BATCH", 16, 1, 1 << 16));
-  options.arrivalBurst = static_cast<std::size_t>(
-      envLong("SCA_SERVE_BURST", 16, 1, 1 << 20));
-  options.defaultDeadlineSeconds =
-      envLong("SCA_SERVE_DEADLINE_S", 25, 0, 1 << 20);
-  options.timingEcho = envLong("SCA_SERVE_TIMING", 0, 0, 1) != 0;
+  options.queueCapacity =
+      util::envSize("SCA_SERVE_QUEUE", options.queueCapacity, 1 << 20);
+  options.batchSize =
+      util::envSize("SCA_SERVE_BATCH", options.batchSize, 1 << 16);
+  options.arrivalBurst =
+      util::envSize("SCA_SERVE_BURST", options.arrivalBurst, 1 << 20);
+  options.defaultDeadlineSeconds = static_cast<long long>(util::envSize(
+      "SCA_SERVE_DEADLINE_S",
+      static_cast<std::size_t>(options.defaultDeadlineSeconds), 1 << 20, 0));
+  options.timingEcho =
+      util::envSize("SCA_SERVE_TIMING", options.timingEcho ? 1 : 0, 1, 0) != 0;
   options.fleet = llm::FleetOptions::fromEnv();
   options.year = options.fleet.year;
   return options;

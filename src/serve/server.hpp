@@ -114,10 +114,11 @@ struct ServerOptions {
   int year = 2017;
   llm::FleetOptions fleet;
 
-  /// SCA_SERVE_QUEUE / SCA_SERVE_BATCH / SCA_SERVE_BURST /
-  /// SCA_SERVE_DEADLINE_S / SCA_SERVE_TIMING over defaults; fleet from
-  /// FleetOptions::fromEnv, whose std::invalid_argument on a malformed
-  /// fleet knob propagates.
+  /// SCA_SERVE_QUEUE (1..2^20) / SCA_SERVE_BATCH (1..2^16) /
+  /// SCA_SERVE_BURST (1..2^20) / SCA_SERVE_DEADLINE_S (0..2^20) /
+  /// SCA_SERVE_TIMING (0 or 1) over defaults; fleet from
+  /// FleetOptions::fromEnv. A malformed or out-of-range value throws
+  /// std::invalid_argument naming the variable.
   [[nodiscard]] static ServerOptions fromEnv();
 };
 

@@ -30,7 +30,7 @@ enum class StatusCode {
   kResourceExhausted,  // retry budget spent; the caller must degrade
   kDeadlineExceeded,   // request deadline budget spent; retrying cannot help
   kInvalidArgument,    // caller error; retrying the same call cannot help
-  kDataLoss,           // a file (matrix, trace, dump) unreadable or corrupt
+  kDataLoss,           // a file (trace, dump) unreadable or corrupt
   kInternal,           // anything else
 };
 

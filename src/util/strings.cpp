@@ -226,29 +226,17 @@ std::string toHex64(std::uint64_t value) {
   return buffer;
 }
 
-bool parseHex64(std::string_view text, std::uint64_t* out) {
-  if (text.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') value |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return false;
-  }
-  *out = value;
-  return true;
-}
-
 std::size_t envSize(const char* name, std::size_t fallback,
-                    std::size_t max) {
+                    std::size_t max, std::size_t min) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   const char* end = raw + std::strlen(raw);
   std::size_t parsed = 0;
   const auto [ptr, ec] = std::from_chars(raw, end, parsed);
-  if (ec != std::errc() || ptr != end || parsed == 0) {
+  if (ec != std::errc() || ptr != end || parsed < min) {
     throw std::invalid_argument(std::string(name) + "=" + raw +
-                                ": expected a positive integer");
+                                ": expected an integer >= " +
+                                std::to_string(min));
   }
   if (parsed > max) {
     throw std::invalid_argument(std::string(name) + "=" + raw +

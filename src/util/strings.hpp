@@ -61,17 +61,14 @@ namespace sca::util {
 /// Fixed-width lowercase hex of a 64-bit value ("00ff..." — 16 chars).
 [[nodiscard]] std::string toHex64(std::uint64_t value);
 
-/// Parses exactly toHex64's output (16 lowercase hex chars). False on any
-/// length or character mismatch, `*out` untouched.
-[[nodiscard]] bool parseHex64(std::string_view text, std::uint64_t* out);
-
-/// The positive integer in environment variable `name`, or `fallback` when
-/// it is unset or empty. Anything else (`16x`, `abc`, `0`, `-1`, overflow,
-/// a value above `max`) throws std::invalid_argument naming the variable
-/// and its value.
+/// The integer in [`min`, `max`] in environment variable `name`, or
+/// `fallback` when it is unset or empty. Anything else (`16x`, `abc`, `-1`,
+/// overflow, a value below `min` or above `max`; with the default `min`,
+/// `0`) throws std::invalid_argument naming the variable and its value.
 [[nodiscard]] std::size_t envSize(
     const char* name, std::size_t fallback,
-    std::size_t max = std::numeric_limits<std::size_t>::max());
+    std::size_t max = std::numeric_limits<std::size_t>::max(),
+    std::size_t min = 1);
 
 /// The finite number >= 0 in environment variable `name`, or `fallback`
 /// when it is unset or empty. Anything else (`0.05x`, `abc`, `-1`, `inf`,

@@ -18,15 +18,13 @@
 //   * The feature matrix: fitted vocabularies and every transformed bit
 //     over a small year slice plus edge sources, under each family switch
 //     and a narrow vocabulary, and the selector's information gains.
-//   * The out-of-core matrix: the bytes corpus::buildYearMatrix writes at
-//     the CI scale-smoke shape, and the votes of a forest trained and
-//     predicted on its rows the way bench/macro_scale does.
+//   * A 64-author year's forest: the votes of a forest trained on the
+//     first authors' feature rows and predicted over every row.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,7 +38,6 @@
 #include "features/extractor.hpp"
 #include "features/selection.hpp"
 #include "llm/pipelines.hpp"
-#include "ml/matrix.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -442,58 +439,37 @@ TEST(Golden, FeatureMatrixMatchesPinnedDigest) {
   EXPECT_EQ(util::toHex64(gainsDigest(sparseFull)), "5fc4c10caf71cf01");
 }
 
-// bench/macro_scale at the CI scale-smoke shape (year 2017, 64 authors,
-// shards of 16, 24 training authors, 6 trees): the vocabulary is fitted on
-// the whole cohort, as macro_scale fits it on its first 128 authors. The
-// vote hash folds the votes the way macro_scale's scale_pred_hash does.
-// Recorded with the buffered segment writer and the index-view training
-// path that streamed segments and an owned training copy replaced.
+// A 64-author 2017 cohort: the vocabulary is fitted on the whole cohort,
+// rows are author-major (author a's challenge c is row a*8+c, labelled with
+// the author id), a 6-tree forest trains on the first 24 authors' rows and
+// votes on every row.
 TEST(Golden, ScaleMatrixMatchesPinnedDigest) {
   constexpr int kYear = 2017;
   constexpr std::size_t kAuthors = 64;
   constexpr std::size_t kTrainAuthors = 24;
   const std::vector<const corpus::Challenge*> challenges =
       corpus::challengesForYear(kYear);
-  features::FeatureExtractor extractor;
-  {
-    std::vector<std::string> sources;
-    for (const corpus::Author& author :
-         corpus::makeAuthorPopulation(kYear, kAuthors)) {
-      for (std::size_t c = 0; c < challenges.size(); ++c) {
-        sources.push_back(corpus::renderSolution(
-            author, *challenges[c], kYear, static_cast<int>(c)));
-      }
+  std::vector<std::string> sources;
+  std::vector<int> labels;
+  for (const corpus::Author& author :
+       corpus::makeAuthorPopulation(kYear, kAuthors)) {
+    for (std::size_t c = 0; c < challenges.size(); ++c) {
+      sources.push_back(corpus::renderSolution(author, *challenges[c], kYear,
+                                               static_cast<int>(c)));
+      labels.push_back(author.id);
     }
-    extractor.fit(sources);
   }
+  features::FeatureExtractor extractor;
+  extractor.fit(sources);
+  const std::vector<std::vector<double>> rows = extractor.transformAll(sources);
+  ASSERT_EQ(rows.size(), kAuthors * challenges.size());
 
-  corpus::ScaleConfig config;
-  config.year = kYear;
-  config.authorCount = kAuthors;
-  config.shardSize = 16;
-  config.outDir =
-      (std::filesystem::temp_directory_path() / "sca_golden_scale").string();
-  std::filesystem::remove_all(config.outDir);
-  const auto built = corpus::buildYearMatrix(extractor, config);
-  ASSERT_TRUE(built.ok()) << built.status().toString();
-  auto opened = ml::MatrixFile::open(
-      built.value().matrixPath,
-      corpus::yearMatrixMetaHash(extractor, kYear, kAuthors));
-  ASSERT_TRUE(opened.ok()) << opened.status().toString();
-  const ml::MatrixFile& file = opened.value();
-  ASSERT_EQ(file.rows(), kAuthors * challenges.size());
-
-  std::vector<std::vector<double>> rows;
-  for (std::size_t i = 0; i < file.rows(); ++i) {
-    rows.emplace_back(file.row(i).begin(), file.row(i).end());
-  }
+  const std::size_t trainRows = kTrainAuthors * challenges.size();
   ml::Dataset train;
   train.x.assign(rows.begin(),
-                 rows.begin() + static_cast<std::ptrdiff_t>(
-                                    kTrainAuthors * challenges.size()));
-  for (std::size_t i = 0; i < train.x.size(); ++i) {
-    train.y.push_back(file.label(i));
-  }
+                 rows.begin() + static_cast<std::ptrdiff_t>(trainRows));
+  train.y.assign(labels.begin(),
+                 labels.begin() + static_cast<std::ptrdiff_t>(trainRows));
   ml::ForestConfig forestConfig;
   forestConfig.treeCount = 6;
   forestConfig.seed = util::hash64("macro-scale-forest");
@@ -503,10 +479,7 @@ TEST(Golden, ScaleMatrixMatchesPinnedDigest) {
   for (const int vote : forest.predictAll(rows)) {
     votes = util::combine64(votes, static_cast<std::uint64_t>(vote));
   }
-
-  EXPECT_EQ(util::toHex64(ml::matrixContentHash(file)), "7da711cd747dd2d0");
   EXPECT_EQ(util::toHex64(votes), "8e6d1af8dfd37360");
-  std::filesystem::remove_all(config.outDir);
 }
 
 }  // namespace

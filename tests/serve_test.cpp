@@ -3,8 +3,12 @@
 // the drain record.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/challenges.hpp"
@@ -466,6 +470,83 @@ TEST(Server, AvailabilityDisplayGuardsTheZeroDenominator) {
   some.shed = 1;
   EXPECT_TRUE(some.availabilityDefined());
   EXPECT_EQ(some.availabilityDisplay(), "75.00");
+}
+
+TEST(ServerOptions, EnvOverridesFailClosed) {
+  // The caller's values are put back at the end, so later tests in this
+  // process see the environment they started with.
+  const char* const names[] = {"SCA_SERVE_QUEUE", "SCA_SERVE_BATCH",
+                               "SCA_SERVE_BURST", "SCA_SERVE_DEADLINE_S",
+                               "SCA_SERVE_TIMING"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* name : names) {
+    const char* value = std::getenv(name);
+    saved.push_back(value ? std::optional<std::string>(value) : std::nullopt);
+    ::unsetenv(name);
+  }
+
+  const ServerOptions defaults = ServerOptions::fromEnv();
+  EXPECT_EQ(defaults.queueCapacity, 64u);
+  EXPECT_EQ(defaults.batchSize, 16u);
+  EXPECT_EQ(defaults.arrivalBurst, 16u);
+  EXPECT_EQ(defaults.defaultDeadlineSeconds, 25);
+  EXPECT_FALSE(defaults.timingEcho);
+
+  // Each bound is inclusive, and the deadline and timing knobs accept 0.
+  ::setenv("SCA_SERVE_QUEUE", "1048576", 1);
+  ::setenv("SCA_SERVE_BATCH", "65536", 1);
+  ::setenv("SCA_SERVE_BURST", "1", 1);
+  ::setenv("SCA_SERVE_DEADLINE_S", "0", 1);
+  ::setenv("SCA_SERVE_TIMING", "1", 1);
+  const ServerOptions set = ServerOptions::fromEnv();
+  EXPECT_EQ(set.queueCapacity, 1048576u);
+  EXPECT_EQ(set.batchSize, 65536u);
+  EXPECT_EQ(set.arrivalBurst, 1u);
+  EXPECT_EQ(set.defaultDeadlineSeconds, 0);
+  EXPECT_TRUE(set.timingEcho);
+
+  ::setenv("SCA_SERVE_QUEUE", "", 1);  // empty still means unset
+  ::setenv("SCA_SERVE_DEADLINE_S", "1048576", 1);
+  ::setenv("SCA_SERVE_TIMING", "0", 1);
+  const ServerOptions fresh = ServerOptions::fromEnv();
+  EXPECT_EQ(fresh.queueCapacity, 64u);
+  EXPECT_EQ(fresh.defaultDeadlineSeconds, 1048576);
+  EXPECT_FALSE(fresh.timingEcho);
+  for (const char* name : names) ::unsetenv(name);
+
+  // A malformed or out-of-range value throws, naming the variable and its
+  // value, instead of falling back to the default.
+  const auto error = []() -> std::string {
+    try {
+      (void)ServerOptions::fromEnv();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"SCA_SERVE_QUEUE", "64x"},        {"SCA_SERVE_QUEUE", "-1"},
+      {"SCA_SERVE_QUEUE", "0"},          {"SCA_SERVE_QUEUE", "1048577"},
+      {"SCA_SERVE_BATCH", "16x"},        {"SCA_SERVE_BATCH", "-1"},
+      {"SCA_SERVE_BATCH", "0"},          {"SCA_SERVE_BATCH", "65537"},
+      {"SCA_SERVE_BURST", "16x"},        {"SCA_SERVE_BURST", "-1"},
+      {"SCA_SERVE_BURST", "0"},          {"SCA_SERVE_BURST", "1048577"},
+      {"SCA_SERVE_DEADLINE_S", "25x"},   {"SCA_SERVE_DEADLINE_S", "-1"},
+      {"SCA_SERVE_DEADLINE_S", "1048577"},
+      {"SCA_SERVE_TIMING", "1x"},        {"SCA_SERVE_TIMING", "-1"},
+      {"SCA_SERVE_TIMING", "2"},
+  };
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    EXPECT_NE(error().find(std::string(name) + "=" + value),
+              std::string::npos)
+        << name << "=" << value << ": " << error();
+    ::unsetenv(name);
+  }
+
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i]) ::setenv(names[i], saved[i]->c_str(), 1);
+  }
 }
 
 }  // namespace

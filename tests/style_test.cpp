@@ -78,7 +78,9 @@ TEST(Profile, SampleKeepsInternalConsistency) {
     if (p.useBitsHeader) {
       EXPECT_EQ(p.ioStyle, ast::IoStyle::Iostream);
     }
-    if (p.aliasLongLong) EXPECT_TRUE(p.widenToLongLong);
+    if (p.aliasLongLong) {
+      EXPECT_TRUE(p.widenToLongLong);
+    }
   }
 }
 

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <limits>
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "util/codec.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -206,21 +205,24 @@ TEST(Strings, FormatDouble) {
 TEST(Strings, Hex64RoundTrip) {
   EXPECT_EQ(toHex64(0), "0000000000000000");
   EXPECT_EQ(toHex64(0xdeadbeefcafef00dull), "deadbeefcafef00d");
-  std::uint64_t value = 0;
-  EXPECT_TRUE(parseHex64("deadbeefcafef00d", &value));
-  EXPECT_EQ(value, 0xdeadbeefcafef00dull);
-  EXPECT_TRUE(parseHex64(toHex64(~0ull), &value));
-  EXPECT_EQ(value, ~0ull);
+  EXPECT_EQ(toHex64(~0ull), "ffffffffffffffff");
 }
 
-TEST(Strings, ParseHex64RejectsMalformedInput) {
-  std::uint64_t value = 99;
-  EXPECT_FALSE(parseHex64("", &value));
-  EXPECT_FALSE(parseHex64("deadbeef", &value));            // too short
-  EXPECT_FALSE(parseHex64("deadbeefcafef00d00", &value));  // too long
-  EXPECT_FALSE(parseHex64("DEADBEEFCAFEF00D", &value));    // uppercase
-  EXPECT_FALSE(parseHex64("deadbeefcafef00g", &value));    // non-hex
-  EXPECT_EQ(value, 99u);  // out untouched on failure
+TEST(Strings, EnvSizeHonoursItsInclusiveMinimum) {
+  constexpr const char* kName = "SCA_UTIL_TEST_ENV_SIZE";
+  ::setenv(kName, "0", 1);
+  EXPECT_THROW((void)envSize(kName, 5), std::invalid_argument);  // min 1
+  EXPECT_EQ(envSize(kName, 5, 10, 0), 0u);
+  ::setenv(kName, "3", 1);
+  EXPECT_EQ(envSize(kName, 5, 10, 3), 3u);
+  EXPECT_THROW((void)envSize(kName, 5, 10, 4), std::invalid_argument);
+  EXPECT_THROW((void)envSize(kName, 5, 2, 0), std::invalid_argument);
+  ::setenv(kName, "-1", 1);
+  EXPECT_THROW((void)envSize(kName, 5, 10, 0), std::invalid_argument);
+  ::setenv(kName, "", 1);  // empty means unset
+  EXPECT_EQ(envSize(kName, 5, 10, 0), 5u);
+  ::unsetenv(kName);
+  EXPECT_EQ(envSize(kName, 5, 10, 0), 5u);
 }
 
 TEST(Strings, JsonObjectBuilderProducesParseableRecord) {
@@ -348,53 +350,6 @@ TEST(Table, ToCsvHasHeaderAndRows) {
   table.addSeparator();
   table.addRow({"3", "4"});
   EXPECT_EQ(table.toCsv(), "x,y\n1,2\n3,4\n");
-}
-
-// ----------------------------------------------------------------- codec --
-
-TEST(Codec, RoundTripsEveryFieldKind) {
-  ByteWriter w;
-  w.u8(0xab);
-  w.u32(0xdeadbeef);
-  w.u64(0x0123456789abcdefull);
-  w.f64(3.141592653589793);
-  w.f64(-0.0);
-  w.f64(std::numeric_limits<double>::infinity());
-  w.str("hello \x01 world");
-  w.str("");
-  w.boolean(true);
-  w.boolean(false);
-  const std::string bytes = w.take();
-
-  ByteReader r(bytes);
-  EXPECT_EQ(r.u8(), 0xab);
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
-  EXPECT_EQ(r.f64(), 3.141592653589793);
-  const double negZero = r.f64();
-  EXPECT_EQ(negZero, 0.0);
-  EXPECT_TRUE(std::signbit(negZero));
-  EXPECT_EQ(r.f64(), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(r.str(), "hello \x01 world");
-  EXPECT_EQ(r.str(), "");
-  EXPECT_TRUE(r.boolean());
-  EXPECT_FALSE(r.boolean());
-  EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(r.atEnd());
-}
-
-TEST(Codec, TruncationLatchesNotOkInsteadOfCrashing) {
-  ByteWriter w;
-  w.u64(42);
-  w.str("payload");
-  const std::string bytes = w.take();
-
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ByteReader r(std::string_view(bytes).substr(0, cut));
-    (void)r.u64();
-    (void)r.str();
-    EXPECT_FALSE(r.ok() && r.atEnd()) << "cut at " << cut;
-  }
 }
 
 }  // namespace

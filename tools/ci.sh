@@ -34,8 +34,9 @@
 #
 # A perf-history smoke then proves the regression gate in both directions:
 # identical re-runs of the one-shot pipeline must pass `sca_cli history
-# check`, a slowdown injected via SCA_OBS_TEST_DELAY_MS must trip it, and
-# a tampered stable digest must fail it regardless of timing.
+# check`, a slowdown injected via SCA_OBS_TEST_DELAY_MS must trip it, a
+# tampered stable digest must fail it regardless of timing, and a peak RSS
+# inflated via SCA_OBS_TEST_BALLAST_KB must trip its "rss" finding.
 #
 # A serve-telemetry smoke then proves the request-level telemetry is
 # observational: one stream served with telemetry off vs on full logging
@@ -57,10 +58,9 @@
 # whose string_view offsets and arena id arithmetic are exactly what
 # -fsanitize=address,undefined exists to check; the feature records
 # (features_test), whose term bags are offsets into one buffer behind an
-# open-addressing index; the ML and matrix suites (ml_test, matrix_test,
-# golden_test, corpus_test), whose forest-fit kernel is index ranges into
-# one sample buffer and count tables indexed by label, and whose matrix
-# reader faces seeded mutants and streamed segments; the span recorder
+# open-addressing index; the ML suites (ml_test, golden_test,
+# corpus_test), whose forest-fit kernel is index ranges into one sample
+# buffer and count tables indexed by label; the span recorder
 # (obs_test, flight_test), whose ring slots and chunked trace lists are
 # indexed by per-thread counters; and the string scanners (util_test),
 # whose integer fields parse untrusted serve requests and history records.
@@ -176,16 +176,20 @@ sweep_smoke
 # reject one slowed down by the SCA_OBS_TEST_DELAY_MS test hook (excluded
 # from the env comparability class precisely so the delayed run baselines
 # against the clean ones), and reject a tampered stable digest outright.
+# The RSS gate gets the same demonstrated failure: the manifest must carry
+# the peak-RSS gauge, and a run whose peak the SCA_OBS_TEST_BALLAST_KB hook
+# inflates (excluded from the env class like the delay hook) must trip an
+# "rss" finding.
 history_smoke() {
   echo "=== perf-history smoke (build-release) ==="
   local dir=build-release/history-smoke
   rm -rf "$dir" && mkdir -p "$dir"
   local hist="$PWD/$dir/history.jsonl"
   local cli=build-release/tools/sca_cli
-  run_pipeline() {
+  run_pipeline() {  # run_pipeline [delay_ms] [ballast_kb]
     (cd "$dir" &&
      SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_HISTORY="$hist" \
-       SCA_OBS_TEST_DELAY_MS="${1:-}" \
+       SCA_OBS_TEST_DELAY_MS="${1:-}" SCA_OBS_TEST_BALLAST_KB="${2:-}" \
        ../bench/micro_pipeline > /dev/null)
   }
   local i
@@ -207,6 +211,8 @@ history_smoke() {
     manifest.micro_pipeline.json ] ||
     { echo "history smoke: bench_out holds other files than" \
         "manifest.micro_pipeline.json" >&2; exit 1; }
+  grep -q '"rusage_max_rss_kb":' "$dir/bench_out/manifest.micro_pipeline.json" ||
+    { echo "history smoke: manifest carries no peak-RSS gauge" >&2; exit 1; }
   "$cli" history check "$hist" ||
     { echo "history check failed on identical re-runs" >&2; exit 1; }
   run_pipeline 400
@@ -219,6 +225,15 @@ history_smoke() {
   then
     echo "history check missed a stable-digest change" >&2; exit 1
   fi
+  # A 256 MiB ballast is far past the 1.5x / 32 MiB RSS gates. The ballast
+  # run also trips the time gate, so only an "rss" finding proves the point.
+  run_pipeline "" 262144
+  if "$cli" history check "$hist" > "$dir/rss_check.txt" 2>&1; then
+    echo "history check missed the injected RSS blow-up" >&2; exit 1
+  fi
+  grep -qF '[rss]' "$dir/rss_check.txt" ||
+    { echo "history check failed for a non-rss reason:" >&2
+      cat "$dir/rss_check.txt" >&2; exit 1; }
   "$cli" history gc "$hist" --keep 2
   "$cli" history list "$hist"
   echo "=== perf-history smoke ok ==="
@@ -236,10 +251,10 @@ history_smoke
 # CI log, not just as an exit code. A JSONL round-trip through `sca_cli
 # serve` then proves the wire loop is deterministic (two identical runs),
 # drains gracefully under a kill + shutdown schedule, and feeds the same
-# perf-history gate as every bench. A malformed fleet knob must exit 2
-# before any work: sca_cli serve writes no response line, and macro_serve
-# runs no pass. (The serve/sharded unit tests also run under TSan via the
-# build-tsan suite below.)
+# perf-history gate as every bench. A malformed fleet or serve knob must
+# exit 2 before any work: sca_cli serve writes no response line, and
+# macro_serve runs no pass. (The serve/sharded unit tests also run under
+# TSan via the build-tsan suite below.)
 serve_chaos_smoke() {
   echo "=== serve-chaos smoke (build-release) ==="
   local dir=build-release/serve-smoke
@@ -253,6 +268,13 @@ serve_chaos_smoke() {
       2> /dev/null || status=$?
   [ "$status" -eq 2 ] && [ ! -s "$dir/serve_bad.jsonl" ] ||
     { echo "serve-chaos smoke: SCA_FAULT_RATE=0.05x serve exited" \
+           "$status or wrote a response" >&2; exit 1; }
+  status=0
+  echo '{"op":"generate","id":"a0","chain":0,"challenge":0}' |
+    env SCA_SERVE_QUEUE=64x "$cli" serve > "$dir/serve_bad_queue.jsonl" \
+      2> /dev/null || status=$?
+  [ "$status" -eq 2 ] && [ ! -s "$dir/serve_bad_queue.jsonl" ] ||
+    { echo "serve-chaos smoke: SCA_SERVE_QUEUE=64x serve exited" \
            "$status or wrote a response" >&2; exit 1; }
   status=0
   (cd "$dir" && SCA_SHARDS=4x ../bench/macro_serve > macro_serve_bad.out \
@@ -402,107 +424,6 @@ EOF
 }
 serve_telemetry_smoke
 
-# Out-of-core scale smoke: macro_scale generates a small corpus through the
-# sharded matrix builder and asserts its own invariants (streaming vs
-# resident prediction identity, RSS bound) with a nonzero exit, and a
-# malformed SCA_SCALE_* number must exit 2 before writing anything. The shell
-# adds the cross-run claims: the stable metrics — which carry the matrix
-# content hash and the fold of every streamed prediction — must be
-# byte-identical across SCA_THREADS=1/8 and across shard sizes; an
-# injected crash must exit nonzero and the resumed build must reuse its
-# segments while reproducing the same stable bytes; and the RSS gate gets
-# its demonstrated failure, mirroring the slowdown test: three clean runs
-# baseline `history check`, then a run with SCA_OBS_TEST_BALLAST_KB
-# (excluded from the env class, like the delay hook) must trip an "rss"
-# finding.
-scale_smoke() {
-  echo "=== out-of-core scale smoke (build-release) ==="
-  local dir=build-release/scale-smoke
-  rm -rf "$dir" && mkdir -p "$dir"
-  local hist="$PWD/$dir/history.jsonl"
-  local cli=build-release/tools/sca_cli
-
-  run_scale() {  # run_scale <tag> <threads> <shard> <corpusdir> [extra env]
-    local tag="$1" threads="$2" shard="$3" corpus="$4"; shift 4
-    (cd "$dir" &&
-     env "$@" SCA_THREADS="$threads" SCA_SCALE_AUTHORS=64 \
-       SCA_SCALE_SHARD="$shard" SCA_SCALE_TRAIN_AUTHORS=24 \
-       SCA_SCALE_TREES=6 SCA_SCALE_DIR="$corpus" \
-       SCA_MANIFEST="manifest_$tag.json" \
-       ../bench/macro_scale > "out_$tag.txt")
-  }
-
-  local status=0
-  (cd "$dir" && SCA_SCALE_AUTHORS=64x SCA_SCALE_DIR=corpus_bad \
-     SCA_MANIFEST=manifest_bad.json ../bench/macro_scale > out_bad.txt 2>&1) ||
-    status=$?
-  [ "$status" -eq 2 ] ||
-    { echo "scale smoke: SCA_SCALE_AUTHORS=64x exited $status, not 2" >&2
-      exit 1; }
-  [ ! -e "$dir/corpus_bad" ] ||
-    { echo "scale smoke: SCA_SCALE_AUTHORS=64x wrote a matrix" >&2; exit 1; }
-
-  run_scale t1 1 16 corpus_t1 ||
-    { cat "$dir/out_t1.txt" >&2; echo "macro_scale t1 failed" >&2; exit 1; }
-  run_scale t8 8 16 corpus_t8 ||
-    { cat "$dir/out_t8.txt" >&2; echo "macro_scale t8 failed" >&2; exit 1; }
-  run_scale shard7 8 7 corpus_shard7 ||
-    { echo "macro_scale shard-size-7 run failed" >&2; exit 1; }
-  local tag
-  for tag in t1 t8 shard7; do
-    "$cli" metrics "$dir/manifest_$tag.json" --stable \
-      > "$dir/stable_$tag.json"
-  done
-  cmp "$dir/stable_t1.json" "$dir/stable_t8.json" ||
-    { echo "scale smoke: stable metrics differ between SCA_THREADS=1 and 8" \
-        >&2; exit 1; }
-  cmp "$dir/stable_t8.json" "$dir/stable_shard7.json" ||
-    { echo "scale smoke: stable metrics depend on the shard size" >&2
-      exit 1; }
-  grep -q '"rusage_max_rss_kb":' "$dir/manifest_t1.json" ||
-    { echo "scale smoke: manifest carries no peak-RSS gauge" >&2; exit 1; }
-
-  # Injected crash: nonzero exit, partial manifest, segments left behind;
-  # the resume reuses them and reproduces the clean runs' stable bytes.
-  if run_scale crash 2 16 corpus_crash SCA_SCALE_CRASH_SHARDS=2; then
-    echo "scale smoke: injected crash did not fail the build" >&2; exit 1
-  fi
-  ls "$dir"/corpus_crash/seg_* > /dev/null 2>&1 ||
-    { echo "scale smoke: crash left no segment checkpoints" >&2; exit 1; }
-  run_scale resume 2 16 corpus_crash ||
-    { echo "macro_scale resume run failed" >&2; exit 1; }
-  grep -Eq '"corpus_shards_resumed":[1-9]' "$dir/manifest_resume.json" ||
-    { echo "scale smoke: resume rebuilt everything from scratch" >&2
-      exit 1; }
-  "$cli" metrics "$dir/manifest_resume.json" --stable \
-    > "$dir/stable_resume.json"
-  cmp "$dir/stable_t1.json" "$dir/stable_resume.json" ||
-    { echo "scale smoke: crash/resume changed the stable metrics" >&2
-      exit 1; }
-
-  # RSS gate, both directions: clean re-runs pass, a ballast-bloated run
-  # (~12x this workload's ~20 MB peak, far past the 1.5x/32 MiB gates)
-  # must be flagged as an "rss" regression.
-  local i
-  for i in 1 2 3; do
-    run_scale "hist$i" 2 16 corpus_hist SCA_HISTORY="$hist" ||
-      { echo "macro_scale history run $i failed" >&2; exit 1; }
-  done
-  "$cli" history check "$hist" ||
-    { echo "history check failed on identical scale re-runs" >&2; exit 1; }
-  run_scale ballast 2 16 corpus_hist SCA_HISTORY="$hist" \
-      SCA_OBS_TEST_BALLAST_KB=262144 ||
-    { echo "macro_scale ballast run failed" >&2; exit 1; }
-  if "$cli" history check "$hist" > "$dir/rss_check.txt" 2>&1; then
-    echo "history check missed the injected RSS blow-up" >&2; exit 1
-  fi
-  grep -q 'rss' "$dir/rss_check.txt" ||
-    { echo "history check failed for a non-rss reason:" >&2
-      cat "$dir/rss_check.txt" >&2; exit 1; }
-  echo "=== out-of-core scale smoke ok ==="
-}
-scale_smoke
-
 # Flight-recorder smoke: the recorder's hard invariant is that it OBSERVES
 # without participating — stable output bytes are identical with the rings
 # and watchdog armed, with only the trace recorded (SCA_TRACE and
@@ -633,23 +554,21 @@ run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCA_SANITIZE=address
 # — and the fuzz/property suites are the inputs most likely to provoke
 # them. The feature records: each term bag stores its terms as offsets
 # into one buffer, found through an open-addressing slot table, and the
-# selector indexes flat class-by-column count tables. The ML and matrix
-# suites: the forest-fit kernel partitions [begin, end) ranges of one
-# sample buffer and indexes count tables by label and threshold, the
-# golden tests pin the fitted trees, the feature matrix and the
-# out-of-core matrix bytes, matrix_test opens seeded mutants of an
-# sca-matrix-v1 file, and corpus_test streams shard segments through the
-# matrix writer and merges them. The span recorder: a span's name is
-# packed into fixed slot words, ring slots are indexed modulo the
-# capacity, and traced spans land in chunked per-thread lists indexed by
-# count (obs_test, flight_test). The string scanners: jsonIntField reads
-# integers out of serve requests and history records, where a too-long
-# number once overflowed a signed accumulator (util_test). The binaries
-# run directly (not via ctest) because only these eleven targets are
-# built in this tree.
+# selector indexes flat class-by-column count tables. The ML suites: the
+# forest-fit kernel partitions [begin, end) ranges of one sample buffer
+# and indexes count tables by label and threshold, and the golden tests
+# pin the fitted trees, the feature matrix and a 64-author forest's votes;
+# corpus_test renders and re-parses every challenge and a year's samples.
+# The span recorder: a span's name is packed into fixed slot words, ring
+# slots are indexed modulo the capacity, and traced spans land in chunked
+# per-thread lists indexed by count (obs_test, flight_test). The string
+# scanners: jsonIntField reads integers out of serve requests and history
+# records, where a too-long number once overflowed a signed accumulator
+# (util_test). The binaries run directly (not via ctest) because only
+# these ten targets are built in this tree.
 ubsan_focus() {
   local tests="lexer_test parser_fuzz_test roundtrip_property_test"
-  tests+=" features_test ml_test matrix_test golden_test corpus_test"
+  tests+=" features_test ml_test golden_test corpus_test"
   tests+=" obs_test flight_test util_test"
   echo "=== configure build-asan-ubsan (lexer/parser, features, ML, recorder and string focus) ==="
   cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
