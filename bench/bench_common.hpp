@@ -6,13 +6,13 @@
 // killed bench never leaves a torn CSV behind.
 //
 // Each bench main also holds a Session, which keeps the run's one
-// performance record. On exit it writes the versioned run manifest
-// (bench_out/manifest.<bench>.json, or $SCA_MANIFEST; schema in
-// src/obs/manifest.hpp), appends one sca-history-v1 record (threads,
-// phase wall-times, counters, total_s, peak RSS; src/obs/history.hpp) and
-// flushes the $SCA_TRACE Chrome trace. A Session destroyed before
-// complete() marks the manifest "status":"partial" so downstream tooling
-// never mistakes a crashed run for a finished one.
+// performance record. On exit it flushes the $SCA_TRACE Chrome trace and
+// writes one sca-run-v1 record (src/obs/manifest.hpp): to
+// bench_out/manifest.<bench>.json (or $SCA_MANIFEST), and the same bytes
+// appended to the run history (bench_out/history/history.jsonl, or
+// $SCA_HISTORY; src/obs/history.hpp). A Session destroyed before
+// complete() records "status":"partial" so downstream tooling never
+// mistakes a crashed run for a finished one.
 #pragma once
 
 #include <chrono>
@@ -32,12 +32,10 @@
 
 namespace sca::bench {
 
-/// RAII run manifest + history record: construct at the top of a bench
-/// main, call complete() as the last statement before a successful return.
-/// The destructor writes the manifest either way — reaching it without
-/// complete() (early return, exception unwind) records a partial run —
-/// and appends one sca-history-v1 record to the run-history store so the
-/// bench trajectory accumulates across runs (`sca_cli history`).
+/// RAII run record: construct at the top of a bench main, call complete()
+/// as the last statement before a successful return. The destructor writes
+/// the record either way; reaching it without complete() (early return,
+/// exception unwind) records a partial run.
 class Session {
  public:
   explicit Session(std::string benchName)
@@ -64,55 +62,38 @@ class Session {
                 << "\n";
     }
 
-    // Memory/CPU gauges land before the manifest snapshot so both the
-    // manifest's runtime section and the history record carry them.
-    obs::recordProcessRusage();
-
-    obs::RunManifestOptions options;
-    options.benchName = benchName_;
-    options.complete = complete_;
+    obs::FinishedRun run;
+    run.bench = benchName_;
+    run.threads = runtime::globalPool().size();
+    run.complete = complete_;
     if (!complete_) {
       // Cross-reference the flight recorder: a latched watchdog verdict or
       // signal name beats the generic "torn down early".
       const std::string cause = obs::flight::incidentCause();
-      options.partialCause = cause.empty() ? "destructor" : cause;
+      run.partialCause = cause.empty() ? "destructor" : cause;
     }
-    options.threads = runtime::globalPool().size();
-    const char* path = std::getenv("SCA_MANIFEST");
-    options.path = path != nullptr && *path != '\0'
-                       ? path
-                       : "bench_out/manifest." + benchName_ + ".json";
-    const util::Status manifestStatus = obs::writeRunManifest(options);
-    if (manifestStatus.isOk()) {
-      std::cout << "[manifest] " << options.path << "\n";
-    } else {
-      std::cerr << "[manifest] write failed: " << manifestStatus.toString()
-                << "\n";
-    }
-
-    const double totalSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    if (const std::string historyPath = obs::configuredHistoryPath();
-        !historyPath.empty()) {
-      obs::HistoryStore store(historyPath);
-      const util::Status status = obs::appendRunHistory(
-          store, benchName_, runtime::globalPool().size(), complete_,
-          totalSeconds);
-      if (status.isOk()) {
-        std::cout << "[history] " << historyPath << "\n";
-      } else {
-        std::cerr << "[history] append failed: " << status.toString()
-                  << "\n";
+    run.totalSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start_)
+                           .count();
+    const char* manifest = std::getenv("SCA_MANIFEST");
+    run.manifestPath = manifest != nullptr && *manifest != '\0'
+                           ? manifest
+                           : "bench_out/manifest." + benchName_ + ".json";
+    run.historyPath = obs::configuredHistoryPath();
+    if (const util::Status status = obs::writeRunRecord(run); status.isOk()) {
+      std::cout << "[manifest] " << run.manifestPath << "\n";
+      if (!run.historyPath.empty()) {
+        std::cout << "[history] " << run.historyPath << "\n";
       }
+    } else {
+      std::cerr << "[record] write failed: " << status.toString() << "\n";
     }
     obs::logEvent(obs::LogLevel::kInfo, "bench", "session_end",
                   [&](util::JsonObjectBuilder& fields) {
                     fields.add("bench", benchName_);
                     fields.add("status",
                                complete_ ? "complete" : "partial");
-                    fields.addDouble("total_s", totalSeconds, 3);
+                    fields.addDouble("total_s", run.totalSeconds, 3);
                   });
   }
 
@@ -121,7 +102,7 @@ class Session {
   std::chrono::steady_clock::time_point start_;
   // Arms the flight recorder's fatal-signal handlers (and the stall
   // watchdog when SCA_WATCHDOG_S is set) for the whole bench; destroyed
-  // after the destructor body, so the manifest write above still sees any
+  // after the destructor body, so the record written above still sees any
   // latched incident cause.
   obs::flight::ArmedScope flightScope_;
   bool complete_ = false;

@@ -25,13 +25,9 @@ void AttributionModel::train(const std::vector<std::string>& sources,
   if (sources.empty()) {
     throw std::invalid_argument("AttributionModel::train: empty corpus");
   }
-  std::vector<std::vector<double>> x;
-  {
-    obs::Span phase("feature_extract", obs::kPhaseCategory);
-    extractor_ = features::FeatureExtractor(config_.extractor);
-    extractor_.fit(sources);
-    x = extractor_.transformAll(sources);
-  }
+  extractor_ = features::FeatureExtractor(config_.extractor);
+  extractor_.fit(sources);
+  const std::vector<std::vector<double>> x = extractor_.transformAll(sources);
   obs::Span phase("forest_train", obs::kPhaseCategory);
   selector_ = features::FeatureSelector();
   selector_.fit(x, labels, config_.selectTopK);

@@ -267,10 +267,8 @@ bool anyActiveSpans() noexcept {
 // time, so the delay lands in the phase's recorded wall time — the lever
 // tools/ci.sh uses to prove `sca_cli history check` catches a regression.
 void applyPhaseTestDelay() {
-  static const int delayMs = [] {
-    const char* env = std::getenv("SCA_OBS_TEST_DELAY_MS");
-    return env != nullptr && *env != '\0' ? std::atoi(env) : 0;
-  }();
+  static const std::size_t delayMs =
+      util::envTestHook("SCA_OBS_TEST_DELAY_MS", 60000);
   if (delayMs > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
   }

@@ -137,7 +137,7 @@ class ArmedScope {
 
 // "" when the run is healthy; otherwise a signal name ("SIGSEGV"),
 // "watchdog_stall", or whatever cause was last latched since arm().
-// bench::Session folds this into the manifest `partial_cause` field.
+// bench::Session folds this into the run record's `partial_cause` field.
 std::string incidentCause();
 
 // Path the watchdog dump / signal postmortem will be written to under the

@@ -4,14 +4,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <vector>
+#include <ctime>
+#include <optional>
 
+#include "obs/metrics.hpp"
 #include "obs/sketch.hpp"
 #include "obs/trace.hpp"
 #include "util/io.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 extern char** environ;
@@ -20,7 +23,7 @@ namespace sca::obs {
 namespace {
 
 /// SCA_GIT_SHA override, else `git rev-parse HEAD` (benches run inside the
-/// worktree), else "unknown". Never fails the manifest.
+/// worktree), else "unknown". Never fails the record.
 std::string resolveGitSha() {
   if (const char* sha = std::getenv("SCA_GIT_SHA");
       sha != nullptr && *sha != '\0') {
@@ -52,99 +55,47 @@ std::string scaEnvJson() {
     if (eq == std::string_view::npos) continue;
     vars.emplace(entry.substr(0, eq), entry.substr(eq + 1));
   }
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : vars) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + util::jsonEscape(key) + "\":\"" + util::jsonEscape(value) +
-           '"';
-  }
-  out += '}';
-  return out;
-}
-
-/// Aggregates completed spans into (parent name, name) edges — a flat
-/// encoding of the phase tree that cannot recurse on self-nested spans
-/// (e.g. parallel_for inside parallel_for).
-std::string spanEdgesJson() {
-  const std::vector<TraceEvent> events = Tracer::global().snapshotEvents();
-  std::map<std::uint64_t, const TraceEvent*> byId;
-  for (const TraceEvent& e : events) byId.emplace(e.id, &e);
-
-  struct Edge {
-    std::uint64_t count = 0;
-    std::uint64_t totalNs = 0;
-  };
-  std::map<std::pair<std::string, std::string>, Edge> edges;
-  for (const TraceEvent& e : events) {
-    const auto parent = byId.find(e.parentId);
-    std::string parentName =
-        parent == byId.end() ? std::string() : parent->second->name;
-    Edge& edge = edges[{std::move(parentName), e.name}];
-    ++edge.count;
-    edge.totalNs += e.durationNs;
-  }
-
-  std::string out = "[";
-  bool first = true;
-  for (const auto& [key, edge] : edges) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"parent\":\"" + util::jsonEscape(key.first) + "\",\"name\":\"" +
-           util::jsonEscape(key.second) +
-           "\",\"count\":" + std::to_string(edge.count) + ",\"total_s\":" +
-           util::formatDouble(static_cast<double>(edge.totalNs) / 1e9, 6) +
-           '}';
-  }
-  out += ']';
-  return out;
+  util::JsonObjectBuilder out;
+  for (const auto& [key, value] : vars) out.add(key, value);
+  return out.str();
 }
 
 /// Gauges under kPhaseGaugePrefix, prefix stripped — the flat phase
-/// wall-times, the same keys as the history record's "phases" object.
+/// wall-times.
 std::string phasesJson(const MetricsSnapshot& snapshot) {
-  std::string out = "{";
-  bool first = true;
+  util::JsonObjectBuilder out;
   for (const auto& [name, seconds] : snapshot.gauges) {
-    if (!util::startsWith(name, kPhaseGaugePrefix)) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '"' +
-           util::jsonEscape(name.substr(kPhaseGaugePrefix.size())) + "\":" +
-           util::formatDouble(seconds, 6);
+    if (util::startsWith(name, kPhaseGaugePrefix)) {
+      out.addDouble(name.substr(kPhaseGaugePrefix.size()), seconds, 6);
+    }
   }
-  out += '}';
-  return out;
+  return out.str();
 }
 
-}  // namespace
-
-std::string runGitSha() { return resolveGitSha(); }
-
-void recordProcessRusage() {
-  // CI hook: allocate-and-touch N KB right before sampling, so the RSS
-  // regression gate can be proven to catch a memory blow-up the same way
-  // SCA_OBS_TEST_DELAY_MS proves the slowdown gate. ru_maxrss is a
+/// Samples getrusage(RUSAGE_SELF) into runtime max-gauges: peak RSS
+/// ("rusage_max_rss_kb", kilobytes on Linux) and cumulative user/system
+/// CPU seconds. All three are process totals, so max-gauges keep a
+/// repeated sample idempotent.
+void sampleRusage() {
+  // CI hook: allocate-and-touch N kB right before sampling, so the RSS
+  // regression gate can be shown to catch a memory blow-up the way
+  // SCA_OBS_TEST_DELAY_MS shows the slowdown gate. ru_maxrss is a
   // process-lifetime high-water mark, so touching once is enough; the
-  // ballast is freed immediately and never affects what the run computes.
-  if (const char* env = std::getenv("SCA_OBS_TEST_BALLAST_KB");
-      env != nullptr && *env != '\0') {
-    if (const long kb = std::strtol(env, nullptr, 10); kb > 0) {
-      const std::size_t bytes = static_cast<std::size_t>(kb) * 1024;
-      std::vector<char> ballast(bytes);
-      constexpr std::size_t kPage = 4096;
-      for (std::size_t i = 0; i < bytes; i += kPage) ballast[i] = 1;
-      // Volatile read defeats dead-store elimination of the touch loop.
-      volatile char sink = ballast[bytes - 1];
-      (void)sink;
-    }
+  // ballast is freed at once and never affects what the run computes.
+  if (const std::size_t kb =
+          util::envTestHook("SCA_OBS_TEST_BALLAST_KB", 1 << 20);
+      kb > 0) {
+    const std::size_t bytes = kb * 1024;
+    std::vector<char> ballast(bytes);
+    constexpr std::size_t kPage = 4096;
+    for (std::size_t i = 0; i < bytes; i += kPage) ballast[i] = 1;
+    // Volatile read defeats dead-store elimination of the touch loop.
+    volatile char sink = ballast[bytes - 1];
+    (void)sink;
   }
   struct rusage usage {};
   if (::getrusage(RUSAGE_SELF, &usage) != 0) return;
   MetricsRegistry& registry = MetricsRegistry::global();
-  // ru_maxrss is kilobytes on Linux. All three are cumulative process
-  // totals, so max-gauges make repeated sampling idempotent.
   registry.gauge("rusage_max_rss_kb", GaugeKind::kMax)
       .recordMax(static_cast<double>(usage.ru_maxrss));
   const auto seconds = [](const timeval& tv) {
@@ -157,39 +108,164 @@ void recordProcessRusage() {
       .recordMax(seconds(usage.ru_stime));
 }
 
-std::string runManifestJson(const RunManifestOptions& options) {
+std::string renderRunRecord(const FinishedRun& run) {
+  sampleRusage();
   const MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
-  const Tracer& tracer = Tracer::global();
-
-  std::string out = "{\n";
-  out += "\"schema\":\"sca-manifest-v2\",\n";
-  out += "\"bench\":\"" + util::jsonEscape(options.benchName) + "\",\n";
-  out += std::string("\"status\":\"") +
-         (options.complete ? "complete" : "partial") + "\",\n";
-  if (!options.complete && !options.partialCause.empty()) {
-    out += "\"partial_cause\":\"" + util::jsonEscape(options.partialCause) +
-           "\",\n";
+  util::JsonObjectBuilder out;
+  out.add("schema", kRunRecordSchema);
+  out.add("bench", run.bench);
+  out.add("status", run.complete ? "complete" : "partial");
+  if (!run.complete && !run.partialCause.empty()) {
+    out.add("partial_cause", run.partialCause);
   }
-  out += "\"git_sha\":\"" + util::jsonEscape(resolveGitSha()) + "\",\n";
-  out += "\"threads\":" + std::to_string(options.threads) + ",\n";
-  out += "\"env\":" + scaEnvJson() + ",\n";
-  out += "\"metrics\":" + stableMetricsJson(snapshot) + ",\n";
-  out += "\"runtime_metrics\":" + runtimeMetricsJson(snapshot) + ",\n";
-  out += "\"sketches\":" + SketchRegistry::global().sketchesJson() + ",\n";
-  out += "\"phases\":" + phasesJson(snapshot);
-  if (tracer.enabled()) {
-    out += ",\n\"span_edges\":" + spanEdgesJson();
-    if (!tracer.configuredPath().empty()) {
-      out += ",\n\"trace\":\"" + util::jsonEscape(tracer.configuredPath()) +
-             '"';
-    }
+  out.add("git_sha", resolveGitSha());
+  out.addUint("threads", run.threads);
+  out.addDouble("total_s", run.totalSeconds, 6);
+  out.addInt("ts", static_cast<long long>(std::time(nullptr)));
+  out.addRaw("env", scaEnvJson());
+  out.addRaw("metrics", stableMetricsJson(snapshot));
+  out.addRaw("runtime_metrics", runtimeMetricsJson(snapshot));
+  out.addRaw("sketches", SketchRegistry::global().sketchesJson());
+  out.addRaw("phases", phasesJson(snapshot));
+  if (const Tracer& tracer = Tracer::global();
+      tracer.enabled() && !tracer.configuredPath().empty()) {
+    out.add("trace", tracer.configuredPath());
   }
-  out += "\n}\n";
-  return out;
+  return out.str() + "\n";
 }
 
-util::Status writeRunManifest(const RunManifestOptions& options) {
-  return util::atomicWriteFile(options.path, runManifestJson(options));
+/// See RunRecord::envClass.
+bool excludedFromEnvClass(std::string_view name) {
+  return name == "SCA_MANIFEST" || name == "SCA_TRACE" ||
+         name == "SCA_LOG" || name == "SCA_LOG_LEVEL" ||
+         name == "SCA_GIT_SHA" || name == "SCA_THREADS" ||
+         name == "SCA_OBS_TEST_DELAY_MS" ||
+         name == "SCA_OBS_TEST_BALLAST_KB" ||
+         name == "SCA_OBS_TEST_STALL_MS" || name == "SCA_FLIGHT_EVENTS" ||
+         name == "SCA_FLIGHT_DIR" || name == "SCA_WATCHDOG_S" ||
+         util::startsWith(name, "SCA_HISTORY");
+}
+
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+/// Raw JSON string literal -> its text; nullopt when `raw` is no string.
+std::optional<std::string> stringValue(std::string_view raw) {
+  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
+    return std::nullopt;
+  }
+  return util::jsonUnescape(raw.substr(1, raw.size() - 2));
+}
+
+std::optional<double> doubleValue(std::string_view raw) {
+  double value = 0.0;
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The entries of one raw object through `convert`; false when it is no
+/// object or a value does not convert.
+template <typename T, typename Convert>
+bool objectValues(std::string_view raw, Convert convert,
+                  std::map<std::string, T>* out) {
+  Entries entries;
+  if (!topLevelEntries(raw, &entries)) return false;
+  for (const auto& [key, value] : entries) {
+    const std::optional<T> converted = convert(value);
+    if (!converted) return false;
+    out->emplace(key, *converted);
+  }
+  return true;
+}
+
+/// The raw value of `key` among `entries` ("" when absent).
+std::string_view entryValue(const Entries& entries, std::string_view key) {
+  for (const auto& [name, value] : entries) {
+    if (name == key) return value;
+  }
+  return {};
+}
+
+}  // namespace
+
+util::Status writeRunRecord(const FinishedRun& run) {
+  const std::string line = renderRunRecord(run);
+  util::Status status;
+  if (!run.manifestPath.empty()) {
+    status = util::atomicWriteFile(run.manifestPath, line);
+  }
+  if (!run.historyPath.empty()) {
+    const util::Status appended = util::appendLine(run.historyPath, line);
+    if (status.isOk()) status = appended;
+  }
+  return status;
+}
+
+bool parseRunRecord(std::string_view line, RunRecord* out) {
+  *out = RunRecord{};
+  Entries entries;
+  if (!topLevelEntries(line, &entries) ||
+      stringValue(entryValue(entries, "schema")) != kRunRecordSchema) {
+    return false;
+  }
+  const auto sizeValue = [](std::string_view raw) {
+    return util::parseSize(raw);
+  };
+  bool sawBench = false;
+  bool sawStatus = false;
+  bool sawMetrics = false;
+  for (const auto& [key, raw] : entries) {
+    bool ok = true;
+    if (key == "bench") {
+      out->bench = stringValue(raw).value_or("");
+      sawBench = !out->bench.empty();
+    } else if (key == "status") {
+      const std::optional<std::string> status = stringValue(raw);
+      out->complete = status == "complete";
+      sawStatus = out->complete || status == "partial";
+    } else if (key == "partial_cause") {
+      out->partialCause = stringValue(raw).value_or("");
+    } else if (key == "git_sha") {
+      out->gitSha = stringValue(raw).value_or("");
+    } else if (key == "threads") {
+      const std::optional<std::size_t> threads = util::parseSize(raw);
+      ok = threads.has_value();
+      out->threads = threads.value_or(0);
+    } else if (key == "total_s") {
+      const std::optional<double> seconds = doubleValue(raw);
+      ok = seconds.has_value();
+      out->totalSeconds = seconds.value_or(0.0);
+    } else if (key == "env") {
+      ok = objectValues<std::string>(raw, stringValue, &out->env);
+    } else if (key == "metrics") {
+      out->metrics = raw;
+      ok = objectValues<std::uint64_t>(extractJsonObject(raw, "counters"),
+                                       sizeValue, &out->counters);
+      sawMetrics = ok;
+    } else if (key == "runtime_metrics") {
+      ok = objectValues<std::uint64_t>(extractJsonObject(raw, "counters"),
+                                       sizeValue, &out->runtimeCounters) &&
+           objectValues<double>(extractJsonObject(raw, "gauges"),
+                                doubleValue, &out->gauges);
+    } else if (key == "phases") {
+      ok = objectValues<double>(raw, doubleValue, &out->phases);
+    }
+    if (!ok) return false;
+  }
+  if (!sawBench || !sawStatus || !sawMetrics) return false;
+
+  out->digest = util::toHex64(util::hash64(out->metrics));
+  for (const auto& [name, value] : out->env) {
+    if (excludedFromEnvClass(name)) continue;
+    if (!out->envClass.empty()) out->envClass += ' ';
+    out->envClass += name + '=' + value;
+  }
+  if (const auto rss = out->gauges.find("rusage_max_rss_kb");
+      rss != out->gauges.end()) {
+    out->maxRssKb = static_cast<std::uint64_t>(rss->second);
+  }
+  return true;
 }
 
 // --- JSON scanners --------------------------------------------------------

@@ -1,89 +1,113 @@
-// Versioned run manifests: one self-describing JSON record per bench run.
+// The run record: one self-describing JSON line per run, schema sca-run-v1.
 //
-// The manifest is what makes successive runs diffable: it pins the code
-// (git SHA), the configuration (SCA_* environment, pool thread count),
-// and the run's complete telemetry — the deterministic metrics snapshot,
-// the runtime (scheduling/clock-dependent) metrics, the phase wall-times,
-// and, when tracing is on, aggregated span edges and the trace path.
+// A run ends with exactly one record. writeRunRecord renders it once and
+// writes those bytes twice: atomically to the run's manifest file (what
+// `sca_cli metrics` and `sca_cli diff` read) and appended to the run
+// history (what `sca_cli history` reads, see history.hpp). So the manifest
+// file is byte-identical to the history line of the same run, and
+// parseRunRecord is the one reader of both.
 //
-// Layout (one top-level key per line so plain `diff` works):
+// Layout (one line; shown wrapped):
 //
-//   {
-//   "schema":"sca-manifest-v2",
-//   "bench":"micro_pipeline",
-//   "status":"complete",            // "partial" when the run did not finish
-//   "git_sha":"<40 hex or unknown>",
-//   "threads":8,
-//   "env":{"SCA_FAULT_RATE":"0.05","SCA_THREADS":"8"},
-//   "metrics":{"counters":{...},"histograms":{...}},
-//   "runtime_metrics":{"counters":{...},"gauges":{...},"histograms":{...}},
-//   "sketches":{"serve_latency_s":{"count":N,"p50":...,"p90":...,
-//               "p99":...,"p999":...,"min":...,"max":...,
-//               "sketch":{<QuantileSketch::toJson state>}},...},
-//   "phases":{"corpus_build":1.234,...},
-//   "span_edges":[{"parent":"","name":"pipeline_once","count":1,
-//                  "total_s":1.2},...],
-//   "trace":"trace.json"
-//   }
+//   {"schema":"sca-run-v1","bench":"micro_pipeline",
+//    "status":"complete",          // "partial" when the run did not finish
+//    "git_sha":"<40 hex or unknown>","threads":8,
+//    "total_s":1.234567,"ts":1754450000,
+//    "env":{"SCA_FAULT_RATE":"0.05","SCA_THREADS":"8"},
+//    "metrics":{"counters":{...},"histograms":{...}},
+//    "runtime_metrics":{"counters":{...},"gauges":{...},"histograms":{...}},
+//    "sketches":{"serve_latency_s":{"count":N,"p50":...,"p90":...,
+//                "p99":...,"p999":...,"min":...,"max":...,
+//                "sketch":{<QuantileSketch::toJson state>}},...},
+//    "phases":{"corpus_build":1.234,...},
+//    "trace":"trace.json"}
+//
+// "partial_cause" follows "status" on a partial run: a signal name
+// ("SIGSEGV"), "watchdog_stall", or "destructor" (session torn down
+// before complete()), so flight dumps and records cross-reference.
+// "trace" is present only when a Chrome trace was written; that file
+// carries every span with its parent link.
 //
 // "metrics" is the canonical stable section (sorted keys, fixed number
 // formatting): byte-identical across SCA_THREADS settings for a
 // deterministic workload, which is the contract `sca_cli metrics --stable`
-// and the CI smoke step compare. Everything wall-clock lives outside it.
-// "sketches" (schema v2) snapshots SketchRegistry::global() — quantile
-// summaries plus full mergeable state, so later tooling can re-merge
-// manifests; it sits outside the stable section like runtime_metrics.
-//
-// The file is written with util::atomicWriteFile, and only by
-// bench::Session's destructor — a bench killed mid-run leaves the previous
-// manifest (or none), never a torn or silently-incomplete one; a bench
-// that unwound without reaching Session::complete() writes
-// "status":"partial".
+// and the CI smokes compare, and its util::hash64 is the run's digest.
+// Everything wall-clock lives outside it: the runtime counters, the gauges
+// (among them the rusage_max_rss_kb / rusage_user_s / rusage_sys_s sample
+// taken as the record is written), the mergeable quantile sketches of
+// SketchRegistry::global(), the phase wall-times, total_s and ts.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/status.hpp"
 
 namespace sca::obs {
 
-struct RunManifestOptions {
-  std::string path;  // bench::Session: bench_out/manifest.<bench>.json
-  std::string benchName;
-  bool complete = false;
-  // Why a partial manifest is partial: a signal name ("SIGSEGV"),
-  // "watchdog_stall", or "destructor" (session torn down before
-  // markComplete). Emitted as "partial_cause" only when !complete, so
-  // flight dumps and manifests cross-reference.
-  std::string partialCause;
+inline constexpr std::string_view kRunRecordSchema = "sca-run-v1";
+
+/// What only the caller knows about the run that is ending; the writer
+/// samples everything else.
+struct FinishedRun {
+  std::string bench;
   std::size_t threads = 0;  // caller-supplied (obs sits below runtime)
+  bool complete = false;
+  std::string partialCause;  // recorded only when !complete
+  double totalSeconds = 0.0;
+  std::string manifestPath;  // "" = no manifest file
+  std::string historyPath;   // "" = no history line
 };
 
-[[nodiscard]] util::Status writeRunManifest(const RunManifestOptions& options);
+/// Ends the run's telemetry: samples getrusage into the rusage_* max
+/// gauges, takes one registry snapshot, resolves the git SHA (SCA_GIT_SHA,
+/// else `git rev-parse HEAD`, else "unknown") and renders the record once;
+/// then writes it atomically to `manifestPath` and appends the same bytes
+/// to `historyPath` (one O_APPEND write). Both writes are attempted; the
+/// first failure is returned.
+[[nodiscard]] util::Status writeRunRecord(const FinishedRun& run);
 
-/// The manifest document writeRunManifest writes, as a string.
-[[nodiscard]] std::string runManifestJson(const RunManifestOptions& options);
+/// One sca-run-v1 record as read back, plus the fields the history and its
+/// regression gate derive from it.
+struct RunRecord {
+  std::string bench;
+  bool complete = false;
+  std::string partialCause;
+  std::string gitSha;
+  std::uint64_t threads = 0;
+  double totalSeconds = 0.0;
+  std::map<std::string, std::string> env;
+  std::string metrics;  // the raw stable section, byte for byte
+  std::map<std::string, std::uint64_t> counters;         // metrics
+  std::map<std::string, std::uint64_t> runtimeCounters;  // runtime_metrics
+  std::map<std::string, double> gauges;                  // runtime_metrics
+  std::map<std::string, double> phases;
 
-/// The SHA the manifest/history records pin: SCA_GIT_SHA override, else
-/// `git rev-parse HEAD`, else "unknown".
-[[nodiscard]] std::string runGitSha();
+  // Derived.
+  std::string digest;  // util::toHex64(util::hash64(metrics))
+  // `env` minus the knobs that cannot change what a run computes or how
+  // fast it legitimately runs, as "K=V K=V": output paths (SCA_MANIFEST,
+  // SCA_TRACE, SCA_LOG, SCA_LOG_LEVEL, SCA_HISTORY*), SCA_GIT_SHA,
+  // SCA_THREADS (its own field), the flight recorder's knobs, and the CI
+  // injection hooks SCA_OBS_TEST_DELAY_MS, SCA_OBS_TEST_BALLAST_KB and
+  // SCA_OBS_TEST_STALL_MS, which exist so the regression gate can be shown
+  // to catch what they inject.
+  std::string envClass;
+  std::uint64_t maxRssKb = 0;  // the rusage_max_rss_kb gauge; 0 = unsampled
+};
 
-/// Samples getrusage(RUSAGE_SELF) into runtime max-gauges — peak RSS
-/// ("rusage_max_rss_kb") and cumulative user/system CPU seconds
-/// ("rusage_user_s"/"rusage_sys_s") — so manifests and history records
-/// capture memory and CPU cost, not just wall time. Idempotent: the
-/// values are cumulative high-water marks, so repeated calls only raise
-/// them.
-void recordProcessRusage();
+/// Parses one record (a trailing newline is fine). False on a torn line, a
+/// malformed field or any other schema (`*out` is then unspecified).
+[[nodiscard]] bool parseRunRecord(std::string_view line, RunRecord* out);
 
-// --- minimal JSON navigation for the sca_cli inspectors -------------------
+// --- minimal JSON navigation ---------------------------------------------
 // These are scanners, not a parser: they understand object/array nesting
-// and string escapes, which is all the self-emitted formats above need.
+// and string escapes, which is all the self-emitted formats need.
 
 /// The raw `{...}` value of `"key":` at any nesting depth ("" if absent or
 /// unbalanced).

@@ -18,7 +18,7 @@
 // (which is the repo's standing determinism invariant).
 //
 // Stability tags partition the export: kStable instruments must be
-// invariant across thread counts and appear in the manifest's
+// invariant across thread counts and appear in the run record's
 // byte-comparable "metrics" section; kRuntime instruments (steal counts,
 // queue depths, cache hit/miss splits, wall-clock phase seconds) are
 // scheduling- or clock-dependent and are exported separately. Gauges are
@@ -26,7 +26,7 @@
 // floating point, so they can never be byte-stable.
 //
 // There is no reset: every value is a process-lifetime total, which is
-// what the run manifest, the history record and flight dumps report. A
+// what the run record and flight dumps report. A
 // reader that wants a delta stores a value and subtracts it later (the
 // analysis memo's since-clear hit/miss stats do exactly that).
 //
@@ -45,9 +45,9 @@ namespace sca::obs {
 enum class Stability { kStable, kRuntime };
 enum class GaugeKind { kSum, kMax };
 
-/// Gauges recorded under this name prefix are phase wall-times; the
-/// manifest and the history record strip the prefix into their "phases"
-/// sections; an obs::Span in obs::kPhaseCategory records through it.
+/// Gauges recorded under this name prefix are phase wall-times; the run
+/// record strips the prefix into its "phases" section; an obs::Span in
+/// obs::kPhaseCategory records through it.
 inline constexpr std::string_view kPhaseGaugePrefix = "phase:";
 
 class MetricsRegistry;
@@ -162,7 +162,7 @@ class MetricsRegistry {
 
 /// Canonical JSON for the stable section — `{"counters":{...},
 /// "histograms":{...}}`, keys sorted, fixed number formatting — the
-/// byte-comparable object embedded in the run manifest.
+/// byte-comparable object embedded in the run record.
 [[nodiscard]] std::string stableMetricsJson(const MetricsSnapshot& snapshot);
 
 /// JSON for the runtime section: `{"counters":{...},"gauges":{...},

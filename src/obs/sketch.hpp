@@ -24,7 +24,7 @@
 // zero and un-retried requests are common and must not distort the grid.
 //
 // SketchRegistry is the process-global named-sketch store that the run
-// manifest snapshots ("sketches" section, schema sca-manifest-v2). Local
+// record snapshots ("sketches" section, schema sca-run-v1). Local
 // sketches (e.g. one serve loop's) fold in via merge() — the same
 // fold-at-the-end discipline the serve loop uses for shard events.
 #pragma once
@@ -92,7 +92,7 @@ class QuantileSketch {
   std::map<int, std::uint64_t> buckets_;
 };
 
-/// Process-global named sketches, folded into the run manifest. Immortal
+/// Process-global named sketches, folded into the run record. Immortal
 /// like MetricsRegistry::global(); all operations take one mutex — callers
 /// batch via local sketches and merge() at phase boundaries, so this is
 /// never on a per-observation hot path.
@@ -111,7 +111,7 @@ class SketchRegistry {
   /// Drops every named sketch (tests).
   void reset();
 
-  /// The manifest's "sketches" section: name-sorted
+  /// The run record's "sketches" section: name-sorted
   ///   {"name":{"p50":...,...,"sketch":{<toJson>}},...}
   [[nodiscard]] std::string sketchesJson() const;
 

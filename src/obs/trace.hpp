@@ -18,9 +18,9 @@
 //
 // Tracing is off unless the SCA_TRACE environment variable names an
 // output path (or a test calls setEnabled). Timestamps are wall-clock and
-// therefore excluded from all deterministic output: traces and the
-// manifest's span aggregates are diagnostics, never part of the
-// byte-comparable metrics section.
+// therefore excluded from all deterministic output: traces and the run
+// record's phase times are diagnostics, never part of the byte-comparable
+// metrics section.
 //
 // A thread keeps at most kMaxEventsPerThread traced spans; overflow drops
 // the new span and counts it (obs_events_dropped), so a runaway region

@@ -10,6 +10,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 
 namespace sca::runtime {
 namespace {
@@ -121,12 +122,9 @@ namespace {
 // a hung task so the flight-recorder stall watchdog can be exercised
 // end-to-end. Purely a sleep — outputs stay byte-identical.
 void applyPoolStallTestHook() {
-  static const long stallMs = [] {
-    const char* raw = std::getenv("SCA_OBS_TEST_STALL_MS");
-    return raw != nullptr && *raw != '\0' ? std::strtol(raw, nullptr, 10)
-                                          : 0L;
-  }();
-  if (stallMs <= 0) return;
+  static const std::size_t stallMs =
+      util::envTestHook("SCA_OBS_TEST_STALL_MS", 60000);
+  if (stallMs == 0) return;
   static std::atomic<bool> fired{false};
   if (fired.exchange(true, std::memory_order_relaxed)) return;
   std::this_thread::sleep_for(std::chrono::milliseconds(stallMs));

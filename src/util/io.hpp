@@ -1,5 +1,5 @@
 // Crash-safe file primitives shared by the bench writers and the run
-// records (manifest, history, trace, flight dumps).
+// records (run records, trace, flight dumps).
 //
 // Two guarantees matter for long benches that may be killed at any point:
 //

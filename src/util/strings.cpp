@@ -226,23 +226,39 @@ std::string toHex64(std::uint64_t value) {
   return buffer;
 }
 
+std::optional<std::size_t> parseSize(std::string_view text, std::size_t min,
+                                     std::size_t max) {
+  const char* end = text.data() + text.size();
+  std::size_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < min || parsed > max) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 std::size_t envSize(const char* name, std::size_t fallback,
                     std::size_t max, std::size_t min) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  const char* end = raw + std::strlen(raw);
-  std::size_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(raw, end, parsed);
-  if (ec != std::errc() || ptr != end || parsed < min) {
-    throw std::invalid_argument(std::string(name) + "=" + raw +
-                                ": expected an integer >= " +
-                                std::to_string(min));
+  if (const std::optional<std::size_t> parsed = parseSize(raw, min, max)) {
+    return *parsed;
   }
-  if (parsed > max) {
-    throw std::invalid_argument(std::string(name) + "=" + raw +
-                                ": expected at most " + std::to_string(max));
+  std::string expected = "an integer >= " + std::to_string(min);
+  if (max != std::numeric_limits<std::size_t>::max()) {
+    expected += " and <= " + std::to_string(max);
   }
-  return parsed;
+  throw std::invalid_argument(std::string(name) + "=" + raw + ": expected " +
+                              expected);
+}
+
+std::size_t envTestHook(const char* name, std::size_t max) {
+  try {
+    return envSize(name, 0, max, 0);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "[test-hook] ignoring %s\n", error.what());
+    return 0;
+  }
 }
 
 double envDouble(const char* name, double fallback) {

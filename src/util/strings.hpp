@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,14 @@ namespace sca::util {
 /// Fixed-width lowercase hex of a 64-bit value ("00ff..." — 16 chars).
 [[nodiscard]] std::string toHex64(std::uint64_t value);
 
+/// The whole number in [`min`, `max`] that `text` spells in full: decimal
+/// digits only, no sign, space or suffix. nullopt for anything else
+/// (``, `16x`, `abc`, `-1`, `+1`, overflow, a value outside the bounds).
+/// The one parser behind every whole-number env knob and CLI argument.
+[[nodiscard]] std::optional<std::size_t> parseSize(
+    std::string_view text, std::size_t min = 0,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
+
 /// The integer in [`min`, `max`] in environment variable `name`, or
 /// `fallback` when it is unset or empty. Anything else (`16x`, `abc`, `-1`,
 /// overflow, a value below `min` or above `max`; with the default `min`,
@@ -69,6 +78,12 @@ namespace sca::util {
     const char* name, std::size_t fallback,
     std::size_t max = std::numeric_limits<std::size_t>::max(),
     std::size_t min = 1);
+
+/// envSize(name, 0, max, 0) for a test hook read where a throw would end
+/// the process (a span close, a pool task, the run-record writer): a
+/// malformed value prints one stderr line naming the variable and reads
+/// as 0, so nothing is injected.
+[[nodiscard]] std::size_t envTestHook(const char* name, std::size_t max);
 
 /// The finite number >= 0 in environment variable `name`, or `fallback`
 /// when it is unset or empty. Anything else (`0.05x`, `abc`, `-1`, `inf`,

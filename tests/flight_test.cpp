@@ -314,19 +314,23 @@ TEST_F(FlightTest, FatalSignalPathWritesAParseablePostmortem) {
   EXPECT_NE(text.find("thread "), std::string::npos);
 
   // The latched cause is what bench::Session writes as partial_cause.
-  RunManifestOptions manifest;
-  manifest.benchName = "flight_test";
-  manifest.complete = false;
-  manifest.partialCause = incidentCause();
-  const std::string json = runManifestJson(manifest);
-  EXPECT_NE(json.find("\"partial_cause\":\"SIGSEGV\""), std::string::npos);
-
-  RunManifestOptions completeManifest;
-  completeManifest.benchName = "flight_test";
-  completeManifest.complete = true;
-  completeManifest.partialCause = "ignored";
-  EXPECT_EQ(runManifestJson(completeManifest).find("partial_cause"),
+  FinishedRun run;
+  run.bench = "flight_test";
+  run.complete = false;
+  run.partialCause = incidentCause();
+  run.manifestPath = dir + "/record.json";
+  ASSERT_TRUE(writeRunRecord(run).isOk());
+  util::Result<std::string> record = util::readFile(run.manifestPath);
+  ASSERT_TRUE(record.ok());
+  EXPECT_NE(record.value().find("\"partial_cause\":\"SIGSEGV\""),
             std::string::npos);
+
+  run.complete = true;
+  run.partialCause = "ignored";
+  ASSERT_TRUE(writeRunRecord(run).isOk());
+  record = util::readFile(run.manifestPath);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record.value().find("partial_cause"), std::string::npos);
 }
 
 // A fresh arm clears any previously latched incident.

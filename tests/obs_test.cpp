@@ -252,7 +252,7 @@ TEST_F(ObsTest, ParentsAreExactPastTheActiveStackDepth) {
 }
 
 // A trace cut at the per-thread cap says so: the overflow is counted in
-// the manifest's runtime counters.
+// the run record's runtime counters.
 TEST_F(ObsTest, SpansPastThePerThreadCapAreCountedAsDropped) {
   const MetricsRegistry& registry = MetricsRegistry::global();
   Tracer& tracer = Tracer::global();
@@ -267,15 +267,16 @@ TEST_F(ObsTest, SpansPastThePerThreadCapAreCountedAsDropped) {
   worker.join();
   EXPECT_EQ(countTraced("obs_test_cap"), Tracer::kMaxEventsPerThread);
   EXPECT_EQ(registry.counterValue("obs_events_dropped") - before, 1u);
-  RunManifestOptions options;
-  options.benchName = "obs_test_cap";
-  const std::string manifest = runManifestJson(options);
-  const std::string runtimeCounters = extractJsonObject(
-      extractJsonObject(manifest, "runtime_metrics"), "counters");
-  EXPECT_NE(runtimeCounters.find("\"obs_events_dropped\":"),
-            std::string::npos);
-  EXPECT_EQ(extractJsonObject(manifest, "metrics").find("obs_events_dropped"),
-            std::string::npos);
+  FinishedRun run;
+  run.bench = "obs_test_cap";
+  run.manifestPath = ::testing::TempDir() + "obs_test_cap.json";
+  ASSERT_TRUE(writeRunRecord(run).isOk());
+  const util::Result<std::string> line = util::readFile(run.manifestPath);
+  ASSERT_TRUE(line.ok());
+  RunRecord record;
+  ASSERT_TRUE(parseRunRecord(line.value(), &record));
+  EXPECT_EQ(record.runtimeCounters.count("obs_events_dropped"), 1u);
+  EXPECT_EQ(record.counters.count("obs_events_dropped"), 0u);
 }
 
 // snapshotEvents() and clear() may run while other threads close traced
@@ -383,16 +384,16 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormedAndRoundTrips) {
 TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
   (void)MetricsRegistry::global().counter("obs_test_manifest").add(1);
 
-  RunManifestOptions options;
-  options.path = ::testing::TempDir() + "obs_test_manifest.json";
-  options.benchName = "obs_test_bench";
-  options.threads = 3;
+  FinishedRun run;
+  run.manifestPath = ::testing::TempDir() + "obs_test_manifest.json";
+  run.bench = "obs_test_bench";
+  run.threads = 3;
 
-  options.complete = false;
-  ASSERT_TRUE(writeRunManifest(options).isOk());
-  util::Result<std::string> manifest = util::readFile(options.path);
+  run.complete = false;
+  ASSERT_TRUE(writeRunRecord(run).isOk());
+  util::Result<std::string> manifest = util::readFile(run.manifestPath);
   ASSERT_TRUE(manifest.ok());
-  EXPECT_NE(manifest.value().find("\"schema\":\"sca-manifest-v2\""),
+  EXPECT_NE(manifest.value().find("\"schema\":\"sca-run-v1\""),
             std::string::npos);
   EXPECT_NE(manifest.value().find("\"status\":\"partial\""),
             std::string::npos);
@@ -400,9 +401,9 @@ TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
             std::string::npos);
   EXPECT_NE(manifest.value().find("\"threads\":3"), std::string::npos);
 
-  options.complete = true;
-  ASSERT_TRUE(writeRunManifest(options).isOk());
-  manifest = util::readFile(options.path);
+  run.complete = true;
+  ASSERT_TRUE(writeRunRecord(run).isOk());
+  manifest = util::readFile(run.manifestPath);
   ASSERT_TRUE(manifest.ok());
   EXPECT_NE(manifest.value().find("\"status\":\"complete\""),
             std::string::npos);
@@ -535,12 +536,12 @@ TEST_F(ObsTest, QuantileSketchRoundTripsThroughJsonAndTheManifest) {
   // section — the path serve telemetry actually takes.
   SketchRegistry::global().reset();
   SketchRegistry::global().merge("obs_test_roundtrip", sketch);
-  RunManifestOptions options;
-  options.path = ::testing::TempDir() + "obs_test_sketch_manifest.json";
-  options.benchName = "obs_test_sketch";
-  options.complete = true;
-  ASSERT_TRUE(writeRunManifest(options).isOk());
-  const util::Result<std::string> manifest = util::readFile(options.path);
+  FinishedRun run;
+  run.manifestPath = ::testing::TempDir() + "obs_test_sketch_manifest.json";
+  run.bench = "obs_test_sketch";
+  run.complete = true;
+  ASSERT_TRUE(writeRunRecord(run).isOk());
+  const util::Result<std::string> manifest = util::readFile(run.manifestPath);
   ASSERT_TRUE(manifest.ok());
   const std::string section =
       extractJsonObject(manifest.value(), "sketches");

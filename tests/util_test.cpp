@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -223,6 +224,37 @@ TEST(Strings, EnvSizeHonoursItsInclusiveMinimum) {
   EXPECT_EQ(envSize(kName, 5, 10, 0), 5u);
   ::unsetenv(kName);
   EXPECT_EQ(envSize(kName, 5, 10, 0), 5u);
+}
+
+TEST(Strings, ParseSizeAcceptsWholeNumbersInRangeOnly) {
+  EXPECT_EQ(parseSize("0"), std::optional<std::size_t>(0));
+  EXPECT_EQ(parseSize("42"), std::optional<std::size_t>(42));
+  EXPECT_EQ(parseSize("18446744073709551615"),
+            std::optional<std::size_t>(18446744073709551615ull));
+  for (const char* bad : {"", "2x", "abc", "-1", "+1", " 1", "1 ", "1.5",
+                          "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parseSize(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(parseSize("3", 3, 5), std::optional<std::size_t>(3));
+  EXPECT_EQ(parseSize("5", 3, 5), std::optional<std::size_t>(5));
+  EXPECT_FALSE(parseSize("2", 3, 5).has_value());
+  EXPECT_FALSE(parseSize("6", 3, 5).has_value());
+}
+
+TEST(Strings, EnvTestHookInjectsNothingOnAMalformedValue) {
+  constexpr const char* kName = "SCA_UTIL_TEST_HOOK";
+  ::setenv(kName, "250", 1);
+  EXPECT_EQ(envTestHook(kName, 1000), 250u);
+  for (const char* bad : {"250x", "abc", "-1", "1001"}) {
+    ::setenv(kName, bad, 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(envTestHook(kName, 1000), 0u) << bad;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(kName),
+              std::string::npos)
+        << bad;
+  }
+  ::unsetenv(kName);
+  EXPECT_EQ(envTestHook(kName, 1000), 0u);
 }
 
 TEST(Strings, JsonObjectBuilderProducesParseableRecord) {

@@ -35,8 +35,11 @@
 # A perf-history smoke then proves the regression gate in both directions:
 # identical re-runs of the one-shot pipeline must pass `sca_cli history
 # check`, a slowdown injected via SCA_OBS_TEST_DELAY_MS must trip it, a
-# tampered stable digest must fail it regardless of timing, and a peak RSS
-# inflated via SCA_OBS_TEST_BALLAST_KB must trip its "rss" finding.
+# tampered stable counter must fail it with a digest finding, and a peak
+# RSS inflated via SCA_OBS_TEST_BALLAST_KB must trip its "rss" finding. The
+# run's manifest must be byte-identical to its history line (one record),
+# a malformed hook value must inject nothing, and a malformed `--keep`
+# must exit 2 without touching the history.
 #
 # A serve-telemetry smoke then proves the request-level telemetry is
 # observational: one stream served with telemetry off vs on full logging
@@ -67,7 +70,8 @@
 #
 # Last, a perf-seed smoke runs the one-shot pipeline against the committed
 # seed baseline (tools/perf/seed_baseline.jsonl): `history check` must pass
-# (which also pins the stable digest), and the best-of-3 analysis phase must
+# with the seed's group checked (which also pins the stable digest), and the
+# best-of-3 analysis phase must
 # be at least 2x faster than the seed median — the zero-copy lexer / arena
 # AST speedup, locked so it cannot silently erode. It runs last because
 # that speed gate depends on the host.
@@ -175,20 +179,21 @@ sweep_smoke
 # build the baseline; `history check` must accept a fourth identical run,
 # reject one slowed down by the SCA_OBS_TEST_DELAY_MS test hook (excluded
 # from the env comparability class precisely so the delayed run baselines
-# against the clean ones), and reject a tampered stable digest outright.
-# The RSS gate gets the same demonstrated failure: the manifest must carry
-# the peak-RSS gauge, and a run whose peak the SCA_OBS_TEST_BALLAST_KB hook
-# inflates (excluded from the env class like the delay hook) must trip an
-# "rss" finding.
+# against the clean ones), and reject a tampered stable counter with a
+# digest finding. The RSS gate gets the same demonstrated failure: the
+# record must carry the peak-RSS gauge, and a run whose peak the
+# SCA_OBS_TEST_BALLAST_KB hook inflates (excluded from the env class like
+# the delay hook) must trip an "rss" finding, while a malformed ballast
+# value must be named on stderr and inject nothing.
 history_smoke() {
   echo "=== perf-history smoke (build-release) ==="
   local dir=build-release/history-smoke
   rm -rf "$dir" && mkdir -p "$dir"
   local hist="$PWD/$dir/history.jsonl"
   local cli=build-release/tools/sca_cli
-  run_pipeline() {  # run_pipeline [delay_ms] [ballast_kb]
+  run_pipeline() {  # run_pipeline [delay_ms] [ballast_kb] [history]
     (cd "$dir" &&
-     SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_HISTORY="$hist" \
+     SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_HISTORY="${3:-$hist}" \
        SCA_OBS_TEST_DELAY_MS="${1:-}" SCA_OBS_TEST_BALLAST_KB="${2:-}" \
        ../bench/micro_pipeline > /dev/null)
   }
@@ -213,18 +218,24 @@ history_smoke() {
         "manifest.micro_pipeline.json" >&2; exit 1; }
   grep -q '"rusage_max_rss_kb":' "$dir/bench_out/manifest.micro_pipeline.json" ||
     { echo "history smoke: manifest carries no peak-RSS gauge" >&2; exit 1; }
+  tail -n 1 "$hist" | cmp -s - "$dir/bench_out/manifest.micro_pipeline.json" ||
+    { echo "history smoke: manifest differs from the run's history line" >&2
+      exit 1; }
   "$cli" history check "$hist" ||
     { echo "history check failed on identical re-runs" >&2; exit 1; }
   run_pipeline 400
   if "$cli" history check "$hist" > /dev/null; then
     echo "history check missed the injected slowdown" >&2; exit 1
   fi
-  sed '$ s/"digest":"[0-9a-f]*"/"digest":"0000000000000000"/' "$hist" \
+  sed '$ s/"ml_trees_fitted":60/"ml_trees_fitted":61/' "$hist" \
     > "$dir/tampered.jsonl"
-  if "$cli" history check "$dir/tampered.jsonl" --factor 1000 > /dev/null
+  if "$cli" history check "$dir/tampered.jsonl" > "$dir/tamper_check.txt"
   then
-    echo "history check missed a stable-digest change" >&2; exit 1
+    echo "history check missed a stable-counter change" >&2; exit 1
   fi
+  grep -qF '[digest]' "$dir/tamper_check.txt" ||
+    { echo "history check missed the tampered counter's digest:" >&2
+      cat "$dir/tamper_check.txt" >&2; exit 1; }
   # A 256 MiB ballast is far past the 1.5x / 32 MiB RSS gates. The ballast
   # run also trips the time gate, so only an "rss" finding proves the point.
   run_pipeline "" 262144
@@ -234,6 +245,22 @@ history_smoke() {
   grep -qF '[rss]' "$dir/rss_check.txt" ||
     { echo "history check failed for a non-rss reason:" >&2
       cat "$dir/rss_check.txt" >&2; exit 1; }
+  # A malformed ballast (a unit suffix) must be named on stderr and inject
+  # nothing: clean runs peak near 7,400 kB, far under 64 MiB.
+  local bad_hist="$PWD/$dir/bad_hook.jsonl" rss
+  run_pipeline "" 262144x "$bad_hist" 2> "$dir/bad_hook.err"
+  grep -qF SCA_OBS_TEST_BALLAST_KB "$dir/bad_hook.err" ||
+    { echo "history smoke: malformed ballast not reported" >&2; exit 1; }
+  rss=$(grep -o '"rusage_max_rss_kb":[0-9]*' "$bad_hist" | cut -d: -f2)
+  [ -n "$rss" ] && [ "$rss" -lt 65536 ] ||
+    { echo "history smoke: malformed ballast inflated RSS to '$rss' kB" >&2
+      exit 1; }
+  local status=0
+  cp "$hist" "$dir/before_gc.jsonl"
+  "$cli" history gc "$hist" --keep 2x 2> /dev/null || status=$?
+  [ "$status" -eq 2 ] && cmp -s "$hist" "$dir/before_gc.jsonl" ||
+    { echo "history smoke: gc --keep 2x exited $status or changed the" \
+           "history" >&2; exit 1; }
   "$cli" history gc "$hist" --keep 2
   "$cli" history list "$hist"
   echo "=== perf-history smoke ok ==="
@@ -410,7 +437,7 @@ EOF
     { cat "$dir/macro_serve_load.out" >&2
       echo "macro_serve_load assertions failed" >&2; exit 1; }
   local manifest="$dir/bench_out/manifest.macro_serve_load.json"
-  grep -q '"schema":"sca-manifest-v2"' "$manifest" &&
+  grep -q '"schema":"sca-run-v1"' "$manifest" &&
     grep -q '"serve_latency_s":{"count":' "$manifest" &&
     grep -q '"serve_queue_depth":{"count":' "$manifest" &&
     grep -q '"serve_shed_rate_pct":{"count":' "$manifest" &&
@@ -588,7 +615,9 @@ ubsan_focus
 # Perf-seed smoke: the committed seed baseline is the pre-rework cost of the
 # analysis phase. `history check` compares the three fresh runs against it
 # (same bench, threads and env class ⇒ same group) and fails on a slowdown
-# or a stable-digest change; the awk gate then enforces the stronger claim
+# or a stable-digest change; it must report exactly that one group checked,
+# because a seed it cannot read would be skipped and pass silently. The awk
+# gate then enforces the stronger claim
 # the zero-copy rework made — analysis at least 2x faster than the seed
 # median. Best-of-3 vs the seed *median* damps machine noise on both sides.
 perf_seed_smoke() {
@@ -610,8 +639,12 @@ perf_seed_smoke() {
        SCA_MANIFEST="manifest_$i.json" \
        ../bench/micro_pipeline > /dev/null)
   done
-  "$cli" history check "$hist" ||
-    { echo "history check failed against the seed baseline" >&2; exit 1; }
+  "$cli" history check "$hist" > "$dir/check.txt" ||
+    { cat "$dir/check.txt" >&2
+      echo "history check failed against the seed baseline" >&2; exit 1; }
+  grep -qF '1 group(s) checked, 0 skipped' "$dir/check.txt" ||
+    { cat "$dir/check.txt" >&2
+      echo "perf-seed smoke: the seed baseline was not compared" >&2; exit 1; }
   awk '
     match($0, /"analysis":[0-9.eE+-]+/) {
       v = substr($0, RSTART + 11, RLENGTH - 11) + 0

@@ -7,8 +7,8 @@
 //   sca_cli attribute <model.txt> <file.cpp>        predict the author
 //   sca_cli evade <model.txt> <file.cpp> <author>   style-space evasion
 //   sca_cli challenges                              list the catalogue
-//   sca_cli metrics <manifest.json> [--stable]      inspect a run manifest
-//   sca_cli diff <manifestA> <manifestB>            compare two manifests
+//   sca_cli metrics <manifest.json> [--stable]      inspect a run record
+//   sca_cli diff <manifestA> <manifestB>            compare two run records
 //   sca_cli trace <trace.json> [--summary]          summarize a Chrome trace
 //   sca_cli history list|check|gc [path]            cross-run perf history
 //   sca_cli serve                                   JSONL serving loop on
@@ -19,7 +19,8 @@
 //                                                   recorder dump
 //
 // No arguments (or `help`) prints the full usage listing and exits 0; an
-// unknown subcommand prints the same listing to stderr and exits nonzero.
+// unknown subcommand, or a numeric argument that is not a whole number in
+// range (util::parseSize), prints the same listing to stderr and exits 2.
 //
 // Every command flushes the $SCA_TRACE Chrome trace on exit, so any
 // invocation can be profiled: SCA_TRACE=t.json sca_cli train ...
@@ -28,7 +29,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -74,19 +77,21 @@ void printUsage(std::ostream& out) {
       "  attribute <model.txt> <file.cpp>          predict the author\n"
       "  evade <model.txt> <file.cpp> <author-id>  style-space evasion\n"
       "  challenges                                list the catalogue\n"
-      "  metrics <manifest.json> [--stable]        inspect a run manifest\n"
-      "  diff <manifestA> <manifestB>              compare two manifests\n"
+      "  metrics <manifest.json> [--stable]        inspect an sca-run-v1\n"
+      "                                            run record\n"
+      "  diff <manifestA> <manifestB>              compare two run records\n"
       "                              (exit 0 iff stable metrics byte-equal)\n"
       "  trace <trace.json> [--summary [--top N]]  summarize a Chrome trace\n"
       "                              (--summary: self-time hotspots and the\n"
       "                               critical path)\n"
-      "  history list|check|gc [path] [--window K --factor F --min-delta S\n"
-      "                               --min-seconds S --rss-factor F\n"
-      "                               --min-rss-delta-kb K --keep N\n"
-      "                               --no-digest]\n"
+      "  history list|check|gc [path] [--keep N] [--no-digest]\n"
       "                              cross-run perf history; default path\n"
       "                              $SCA_HISTORY or\n"
-      "                              bench_out/history/history.jsonl\n"
+      "                              bench_out/history/history.jsonl; check\n"
+      "                              gates time and peak RSS at 1.5x the\n"
+      "                              median of the last 5 comparable runs\n"
+      "                              (and +0.05 s / +32 MiB) and the stable\n"
+      "                              digest; gc keeps N per group (20)\n"
       "  serve                       JSONL serving loop on stdin/stdout\n"
       "                              over a sharded LLM fleet (SCA_SHARDS,\n"
       "                              SCA_FAULT_RATE, SCA_SERVE_QUEUE,\n"
@@ -112,22 +117,44 @@ int usage() {
   return 2;
 }
 
+/// args[i] as a whole number in [min, max] (util::parseSize), `fallback`
+/// when absent; nullopt when malformed or out of range.
+std::optional<std::size_t> numberArg(
+    const std::vector<std::string>& args, std::size_t i,
+    std::size_t fallback, std::size_t min = 0,
+    std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  return i < args.size() ? util::parseSize(args[i], min, max) : fallback;
+}
+
+constexpr std::size_t kMaxYear = 9999;
+constexpr std::size_t kMaxInt = std::numeric_limits<int>::max();
+
+/// `[year] [seed]` after the first argument of generate/transform.
+std::optional<llm::LlmOptions> llmOptionsArgs(
+    const std::vector<std::string>& args) {
+  const std::optional<std::size_t> year = numberArg(args, 1, 2018, 0, kMaxYear);
+  const std::optional<std::size_t> seed = numberArg(args, 2, 1);
+  if (!year || !seed) return std::nullopt;
+  llm::LlmOptions options;
+  options.year = static_cast<int>(*year);
+  options.seed = *seed;
+  return options;
+}
+
 int cmdGenerate(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  llm::LlmOptions options;
-  options.year = args.size() > 1 ? std::stoi(args[1]) : 2018;
-  options.seed = args.size() > 2 ? std::stoull(args[2]) : 1;
-  llm::SyntheticLlm llm(options);
+  const std::optional<llm::LlmOptions> options = llmOptionsArgs(args);
+  if (!options) return usage();
+  llm::SyntheticLlm llm(*options);
   std::cout << llm.generate(corpus::challengeById(args[0]));
   return 0;
 }
 
 int cmdTransform(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  llm::LlmOptions options;
-  options.year = args.size() > 1 ? std::stoi(args[1]) : 2018;
-  options.seed = args.size() > 2 ? std::stoull(args[2]) : 1;
-  llm::SyntheticLlm llm(options);
+  const std::optional<llm::LlmOptions> options = llmOptionsArgs(args);
+  if (!options) return usage();
+  llm::SyntheticLlm llm(*options);
   std::cout << llm.transform(readFile(args[0]));
   return 0;
 }
@@ -145,12 +172,13 @@ int cmdInspect(const std::vector<std::string>& args) {
 
 int cmdTrain(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  const int year = args.size() > 1 ? std::stoi(args[1]) : 2018;
-  const std::size_t authors =
-      args.size() > 2 ? std::stoull(args[2]) : 60;
-  std::cerr << "training " << authors << "-author oracle for " << year
+  const std::optional<std::size_t> year = numberArg(args, 1, 2018, 0, kMaxYear);
+  const std::optional<std::size_t> authors = numberArg(args, 2, 60, 1);
+  if (!year || !authors) return usage();
+  std::cerr << "training " << *authors << "-author oracle for " << *year
             << "...\n";
-  const corpus::YearDataset ds = corpus::buildYearDataset(year, authors);
+  const corpus::YearDataset ds =
+      corpus::buildYearDataset(static_cast<int>(*year), *authors);
   std::vector<std::string> sources;
   std::vector<int> labels;
   for (const corpus::CodeSample& sample : ds.samples) {
@@ -179,11 +207,13 @@ int cmdAttribute(const std::vector<std::string>& args) {
 
 int cmdEvade(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
+  const std::optional<std::size_t> author = numberArg(args, 2, 0, 0, kMaxInt);
+  if (!author) return usage();
   const core::AttributionModel model =
       core::AttributionModel::loadFile(args[0]);
   evasion::StyleEvader evader(model, evasion::EvasionConfig{});
   const evasion::EvasionResult result =
-      evader.evade(readFile(args[1]), std::stoi(args[2]));
+      evader.evade(readFile(args[1]), static_cast<int>(*author));
   std::cerr << "A" << result.originalPrediction << " -> A"
             << result.finalPrediction << " in " << result.classifierQueries
             << " queries (" << (result.evaded ? "evaded" : "NOT evaded")
@@ -201,27 +231,28 @@ int cmdChallenges() {
 
 // --- observability inspectors ---------------------------------------------
 
-/// Top-level string/number field of one JSON object, unquoted ("" if
-/// absent).
-std::string manifestField(const std::string& json, const std::string& key) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  if (!obs::topLevelEntries(json, &entries)) return "";
-  for (const auto& [name, value] : entries) {
-    if (name != key) continue;
-    if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
-      return value.substr(1, value.size() - 2);
-    }
-    return value;
+/// Reads one sca-run-v1 record (a manifest file). False, with the reason
+/// on stderr, when the file is missing or holds no record.
+bool readRecord(const std::string& path, obs::RunRecord* record) {
+  if (!obs::parseRunRecord(readFile(path), record)) {
+    std::cerr << "error: " << path << " is not an "
+              << obs::kRunRecordSchema << " record\n";
+    return false;
   }
-  return "";
+  return true;
 }
 
-void printObjectEntries(const std::string& objectJson,
-                        const std::string& indent) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  if (!obs::topLevelEntries(objectJson, &entries)) return;
+template <typename Map>
+void printEntries(const Map& entries) {
   for (const auto& [name, value] : entries) {
-    std::cout << indent << name << " = " << value << '\n';
+    std::cout << "  " << name << " = " << value << '\n';
+  }
+}
+
+void printDoubles(const std::map<std::string, double>& entries) {
+  for (const auto& [name, value] : entries) {
+    std::cout << "  " << name << " = " << util::formatDouble(value, 6)
+              << '\n';
   }
 }
 
@@ -229,66 +260,62 @@ int cmdMetrics(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   const bool stableOnly =
       std::find(args.begin(), args.end(), "--stable") != args.end();
-  const std::string manifest = readFile(args[0]);
-  const std::string metrics = obs::extractJsonObject(manifest, "metrics");
-  if (metrics.empty()) {
-    std::cerr << "error: " << args[0] << " has no \"metrics\" object\n";
-    return 1;
-  }
+  obs::RunRecord record;
+  if (!readRecord(args[0], &record)) return 1;
 
   if (stableOnly) {
-    // Raw canonical bytes, so two manifests can be compared with cmp(1).
+    // Raw canonical bytes, so two records can be compared with cmp(1).
     // An empty stable section is an error: an instrumented run always
     // records something, so emptiness means telemetry was lost.
-    std::vector<std::pair<std::string, std::string>> counters;
-    if (!obs::topLevelEntries(obs::extractJsonObject(metrics, "counters"),
-                              &counters)) {
-      std::cerr << "error: malformed stable metrics in " << args[0] << '\n';
-      return 1;
-    }
-    if (counters.empty()) {
+    if (record.counters.empty()) {
       std::cerr << "error: empty stable metrics snapshot in " << args[0]
                 << '\n';
       return 1;
     }
-    std::cout << metrics << '\n';
+    std::cout << record.metrics << '\n';
     return 0;
   }
 
-  std::cout << "bench:    " << manifestField(manifest, "bench") << '\n'
-            << "status:   " << manifestField(manifest, "status") << '\n';
-  if (const std::string cause = manifestField(manifest, "partial_cause");
-      !cause.empty()) {
-    std::cout << "cause:    " << cause << '\n';
+  std::cout << "bench:    " << record.bench << '\n'
+            << "status:   " << (record.complete ? "complete" : "partial")
+            << '\n';
+  if (!record.partialCause.empty()) {
+    std::cout << "cause:    " << record.partialCause << '\n';
   }
-  std::cout << "git_sha:  " << manifestField(manifest, "git_sha") << '\n'
-            << "threads:  " << manifestField(manifest, "threads") << '\n';
+  std::cout << "git_sha:  " << record.gitSha << '\n'
+            << "threads:  " << record.threads << '\n';
   std::cout << "stable counters:\n";
-  printObjectEntries(obs::extractJsonObject(metrics, "counters"), "  ");
-  const std::string histograms = obs::extractJsonObject(metrics,
-                                                        "histograms");
-  if (histograms.size() > 2) {
-    std::cout << "stable histograms:\n";
-    printObjectEntries(histograms, "  ");
-  }
-  const std::string runtimeMetrics =
-      obs::extractJsonObject(manifest, "runtime_metrics");
-  if (!runtimeMetrics.empty()) {
-    std::cout << "runtime counters:\n";
-    printObjectEntries(obs::extractJsonObject(runtimeMetrics, "counters"),
-                       "  ");
-    std::cout << "gauges:\n";
-    printObjectEntries(obs::extractJsonObject(runtimeMetrics, "gauges"),
-                       "  ");
-  }
+  printEntries(record.counters);
+  std::cout << "runtime counters:\n";
+  printEntries(record.runtimeCounters);
+  std::cout << "gauges:\n";
+  printDoubles(record.gauges);
   std::cout << "phases (s):\n";
-  printObjectEntries(obs::extractJsonObject(manifest, "phases"), "  ");
+  printDoubles(record.phases);
   return 0;
 }
 
-/// `trace <file> --summary [--top N]`: the analytics view — per-name self
-/// time hotspots plus the critical path, both from trace_analysis.hpp.
-int cmdTraceSummary(const std::string& path, std::size_t topN) {
+/// `trace <file>`: span count and total time per name. With `--summary
+/// [--top N]`, the analytics view instead — per-name self-time hotspots
+/// plus the critical path, both from trace_analysis.hpp.
+int cmdTrace(const std::vector<std::string>& args) {
+  std::string path;
+  bool summary = false;
+  std::size_t topN = 10;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] == "--summary") {
+      summary = true;
+    } else if (args[i] == "--top" && i + 1 < args.size()) {
+      const std::optional<std::size_t> top = util::parseSize(args[++i]);
+      if (!top) return usage();
+      topN = *top;
+    } else if (path.empty() && args[i].rfind("--", 0) != 0) {
+      path = args[i];
+    } else {
+      return usage();
+    }
+  }
+  if (path.empty()) return usage();
   const util::Result<std::vector<obs::TraceEvent>> parsed =
       obs::parseChromeTrace(readFile(path));
   if (!parsed.ok()) {
@@ -297,97 +324,42 @@ int cmdTraceSummary(const std::string& path, std::size_t topN) {
     return 1;
   }
   const std::vector<obs::TraceEvent>& events = parsed.value();
-  std::cout << events.size() << " spans\n";
+  const auto seconds = [](std::uint64_t ns) {
+    return util::formatDouble(static_cast<double>(ns) / 1e9, 6);
+  };
 
+  if (!summary) {
+    if (events.empty()) {
+      std::cerr << "error: " << path << " contains no events\n";
+      return 1;
+    }
+    std::map<std::string, std::pair<std::size_t, std::uint64_t>> byName;
+    for (const obs::TraceEvent& event : events) {
+      auto& [count, totalNs] = byName[event.name];
+      ++count;
+      totalNs += event.durationNs;
+    }
+    std::cout << events.size() << " events\n";
+    for (const auto& [name, row] : byName) {
+      std::cout << "  " << name << ": " << row.first << " spans, "
+                << seconds(row.second) << " s\n";
+    }
+    return 0;
+  }
+
+  std::cout << events.size() << " spans\n";
   std::cout << "hotspots (by self time):\n";
   for (const obs::SpanStats& stats : obs::spanHotspots(events, topN)) {
     std::cout << "  " << stats.name << ": " << stats.count << " spans, self "
-              << util::formatDouble(static_cast<double>(stats.selfNs) / 1e9,
-                                    6)
-              << " s, total "
-              << util::formatDouble(static_cast<double>(stats.totalNs) / 1e9,
-                                    6)
-              << " s\n";
+              << seconds(stats.selfNs) << " s, total "
+              << seconds(stats.totalNs) << " s\n";
   }
-
   std::cout << "critical path:\n";
   for (const obs::CriticalPathStep& step : obs::criticalPath(events)) {
-    std::cout << "  " << step.name << " ("
-              << util::formatDouble(
-                     static_cast<double>(step.durationNs) / 1e9, 6)
-              << " s, self "
-              << util::formatDouble(static_cast<double>(step.selfNs) / 1e9, 6)
-              << " s)\n";
+    std::cout << "  " << step.name << " (" << seconds(step.durationNs)
+              << " s, self " << seconds(step.selfNs) << " s)\n";
   }
   return 0;
-}
-
-int cmdTrace(const std::vector<std::string>& args) {
-  std::string path;
-  bool summary = false;
-  std::size_t topN = 10;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--summary") {
-      summary = true;
-    } else if (args[i] == "--top") {
-      if (i + 1 >= args.size()) return usage();
-      topN = std::stoull(args[++i]);
-    } else if (path.empty() && args[i].rfind("--", 0) != 0) {
-      path = args[i];
-    } else {
-      return usage();
-    }
-  }
-  if (path.empty()) return usage();
-  if (summary) return cmdTraceSummary(path, topN);
-
-  const std::string trace = readFile(path);
-  std::vector<std::string> events;
-  if (!obs::topLevelElements(obs::extractJsonArray(trace, "traceEvents"),
-                             &events)) {
-    std::cerr << "error: " << path
-              << " is not a Chrome trace (no traceEvents array)\n";
-    return 1;
-  }
-  if (events.empty()) {
-    std::cerr << "error: " << path << " contains no events\n";
-    return 1;
-  }
-
-  struct Row {
-    std::size_t count = 0;
-    double totalUs = 0.0;
-  };
-  std::map<std::string, Row> byName;
-  for (const std::string& event : events) {
-    const std::string name = manifestField(event, "name");
-    const std::string dur = manifestField(event, "dur");
-    if (name.empty() || dur.empty()) {
-      std::cerr << "error: malformed event in " << path << '\n';
-      return 1;
-    }
-    Row& row = byName[name];
-    ++row.count;
-    row.totalUs += std::strtod(dur.c_str(), nullptr);
-  }
-  std::cout << events.size() << " events\n";
-  for (const auto& [name, row] : byName) {
-    std::cout << "  " << name << ": " << row.count << " spans, "
-              << util::formatDouble(row.totalUs / 1e6, 6) << " s\n";
-  }
-  return 0;
-}
-
-/// Numeric top-level entries of one JSON object as a name->double map
-/// (non-numeric values parse as 0, which never occurs in these sections).
-std::map<std::string, double> numericEntries(const std::string& objectJson) {
-  std::map<std::string, double> out;
-  std::vector<std::pair<std::string, std::string>> entries;
-  if (!obs::topLevelEntries(objectJson, &entries)) return out;
-  for (const auto& [name, value] : entries) {
-    out.emplace(name, std::strtod(value.c_str(), nullptr));
-  }
-  return out;
 }
 
 /// `diff <manifestA> <manifestB>`: exit 0 iff the stable metrics sections
@@ -395,48 +367,32 @@ std::map<std::string, double> numericEntries(const std::string& objectJson) {
 /// "what changed" never requires eyeballing raw JSON.
 int cmdDiff(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
-  const std::string manifestA = readFile(args[0]);
-  const std::string manifestB = readFile(args[1]);
-  const std::string metricsA = obs::extractJsonObject(manifestA, "metrics");
-  const std::string metricsB = obs::extractJsonObject(manifestB, "metrics");
-  if (metricsA.empty() || metricsB.empty()) {
-    std::cerr << "error: "
-              << (metricsA.empty() ? args[0] : args[1])
-              << " has no \"metrics\" object\n";
-    return 2;
-  }
+  obs::RunRecord a;
+  obs::RunRecord b;
+  if (!readRecord(args[0], &a) || !readRecord(args[1], &b)) return 2;
+  const auto status = [](const obs::RunRecord& record) {
+    return record.complete ? "complete" : "partial";
+  };
+  std::cout << "A: " << args[0] << " (bench " << a.bench << ", "
+            << status(a) << ")\n"
+            << "B: " << args[1] << " (bench " << b.bench << ", "
+            << status(b) << ")\n";
 
-  std::cout << "A: " << args[0] << " (bench "
-            << manifestField(manifestA, "bench") << ", "
-            << manifestField(manifestA, "status") << ")\n"
-            << "B: " << args[1] << " (bench "
-            << manifestField(manifestB, "bench") << ", "
-            << manifestField(manifestB, "status") << ")\n";
-
-  const std::map<std::string, double> countersA =
-      numericEntries(obs::extractJsonObject(metricsA, "counters"));
-  const std::map<std::string, double> countersB =
-      numericEntries(obs::extractJsonObject(metricsB, "counters"));
-  std::map<std::string, std::pair<double, double>> merged;
-  for (const auto& [name, value] : countersA) merged[name].first = value;
-  for (const auto& [name, value] : countersB) merged[name].second = value;
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> counters;
+  for (const auto& [name, value] : a.counters) counters[name].first = value;
+  for (const auto& [name, value] : b.counters) counters[name].second = value;
   std::size_t differing = 0;
-  for (const auto& [name, values] : merged) {
+  for (const auto& [name, values] : counters) {
     if (values.first == values.second) continue;
     ++differing;
-    std::cout << "  counter " << name << ": "
-              << util::formatDouble(values.first, 0) << " -> "
-              << util::formatDouble(values.second, 0) << '\n';
+    std::cout << "  counter " << name << ": " << values.first << " -> "
+              << values.second << '\n';
   }
   if (differing == 0) std::cout << "  stable counters: identical\n";
 
-  const std::map<std::string, double> phasesA =
-      numericEntries(obs::extractJsonObject(manifestA, "phases"));
-  const std::map<std::string, double> phasesB =
-      numericEntries(obs::extractJsonObject(manifestB, "phases"));
   std::map<std::string, std::pair<double, double>> phases;
-  for (const auto& [name, value] : phasesA) phases[name].first = value;
-  for (const auto& [name, value] : phasesB) phases[name].second = value;
+  for (const auto& [name, value] : a.phases) phases[name].first = value;
+  for (const auto& [name, value] : b.phases) phases[name].second = value;
   for (const auto& [name, values] : phases) {
     std::cout << "  phase " << name << ": "
               << util::formatDouble(values.first, 3) << " s -> "
@@ -446,7 +402,7 @@ int cmdDiff(const std::vector<std::string>& args) {
               << ")\n";
   }
 
-  const bool identical = metricsA == metricsB;
+  const bool identical = a.metrics == b.metrics;
   std::cout << (identical ? "stable metrics identical\n"
                           : "stable metrics DIFFER\n");
   return identical ? 0 : 1;
@@ -461,27 +417,16 @@ int cmdHistory(const std::vector<std::string>& args) {
   }
 
   std::string path;
-  obs::RegressionPolicy policy;
+  bool checkDigest = true;
   std::size_t keep = 20;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const bool hasValue = i + 1 < args.size();
     if (arg == "--no-digest") {
-      policy.checkDigest = false;
-    } else if (arg == "--window" && hasValue) {
-      policy.window = std::stoull(args[++i]);
-    } else if (arg == "--factor" && hasValue) {
-      policy.factor = std::stod(args[++i]);
-    } else if (arg == "--min-delta" && hasValue) {
-      policy.minDeltaSeconds = std::stod(args[++i]);
-    } else if (arg == "--min-seconds" && hasValue) {
-      policy.minPhaseSeconds = std::stod(args[++i]);
-    } else if (arg == "--rss-factor" && hasValue) {
-      policy.rssFactor = std::stod(args[++i]);
-    } else if (arg == "--min-rss-delta-kb" && hasValue) {
-      policy.minRssDeltaKb = std::stoull(args[++i]);
-    } else if (arg == "--keep" && hasValue) {
-      keep = std::stoull(args[++i]);
+      checkDigest = false;
+    } else if (arg == "--keep" && i + 1 < args.size()) {
+      const std::optional<std::size_t> value = util::parseSize(args[++i]);
+      if (!value) return usage();
+      keep = *value;
     } else if (path.empty() && arg.rfind("--", 0) != 0) {
       path = arg;
     } else {
@@ -495,10 +440,8 @@ int cmdHistory(const std::vector<std::string>& args) {
     return 2;
   }
 
-  obs::HistoryStore store(path);
-
   if (action == "gc") {
-    const util::Result<std::size_t> dropped = store.gc(keep);
+    const util::Result<std::size_t> dropped = obs::gcHistory(path, keep);
     if (!dropped.ok()) {
       std::cerr << "error: " << dropped.status().toString() << '\n';
       return 1;
@@ -508,12 +451,12 @@ int cmdHistory(const std::vector<std::string>& args) {
     return 0;
   }
 
-  const obs::HistoryStore::LoadResult loaded = store.load();
+  const obs::HistoryLoad loaded = obs::loadHistory(path);
   if (loaded.skippedLines > 0) {
     std::cout << "note: skipped " << loaded.skippedLines
-              << " torn line(s) in " << path << '\n';
+              << " torn or foreign line(s) in " << path << '\n';
   }
-  if (!loaded.magicOk || loaded.records.empty()) {
+  if (loaded.records.empty()) {
     // An absent history is not a failure: the first run of a fresh
     // checkout has nothing to baseline against.
     std::cout << "no history at " << path << '\n';
@@ -521,7 +464,7 @@ int cmdHistory(const std::vector<std::string>& args) {
   }
 
   if (action == "list") {
-    for (const obs::HistoryRecord& record : loaded.records) {
+    for (const obs::RunRecord& record : loaded.records) {
       std::cout << record.bench << "  threads=" << record.threads
                 << "  " << (record.complete ? "complete" : "partial ")
                 << "  total "
@@ -541,7 +484,7 @@ int cmdHistory(const std::vector<std::string>& args) {
 
   // check
   const obs::RegressionReport report =
-      obs::checkRegressions(loaded.records, policy);
+      obs::checkRegressions(loaded.records, checkDigest);
   std::cout << report.groupsChecked << " group(s) checked, "
             << report.groupsSkipped << " skipped (too few baselines)\n";
   for (const obs::RegressionFinding& finding : report.findings) {
@@ -560,9 +503,9 @@ int cmdHistory(const std::vector<std::string>& args) {
 
 /// `serve`: the JSONL serving loop (src/serve/server.hpp) on
 /// stdin/stdout. Responses and the drain record go to stdout; the human
-/// summary goes to stderr. With SCA_MANIFEST set, the run's manifest is
-/// written on exit; with SCA_HISTORY set, one history record is appended —
-/// the same artifacts a bench run leaves, so `sca_cli history check` and
+/// summary goes to stderr. On exit the run's one sca-run-v1 record is
+/// written to SCA_MANIFEST and appended to SCA_HISTORY, whichever are set
+/// — the same record a bench run leaves, so `sca_cli history check` and
 /// the CI smoke gates cover serving runs too. A malformed fleet knob
 /// (SCA_SHARDS, SCA_FAULT_RATE, SCA_HEDGE_S) exits 2 before anything is
 /// read or served.
@@ -581,34 +524,26 @@ int cmdServe(const std::vector<std::string>& args) {
   const auto start = std::chrono::steady_clock::now();
   serve::Server server(options);
   const serve::ServeStats stats = server.run(std::cin, std::cout);
-  const double totalSeconds =
+
+  obs::FinishedRun run;
+  run.bench = "serve";
+  run.threads = runtime::globalPool().size();
+  run.complete = true;
+  run.totalSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-
-  obs::recordProcessRusage();
-  const std::size_t threads = runtime::globalPool().size();
-  if (const char* manifestPath = std::getenv("SCA_MANIFEST");
-      manifestPath != nullptr && *manifestPath != '\0') {
-    obs::RunManifestOptions options;
-    options.path = manifestPath;
-    options.benchName = "serve";
-    options.complete = true;
-    options.threads = threads;
-    const util::Status status = obs::writeRunManifest(options);
-    if (!status.isOk()) {
-      std::cerr << "[manifest] write failed: " << status.toString() << '\n';
-    }
+  if (const char* manifest = std::getenv("SCA_MANIFEST");
+      manifest != nullptr && *manifest != '\0') {
+    run.manifestPath = manifest;
   }
-  if (const char* historyPath = std::getenv("SCA_HISTORY");
-      historyPath != nullptr && *historyPath != '\0') {
-    if (const std::string resolved = obs::configuredHistoryPath();
-        !resolved.empty()) {
-      obs::HistoryStore store(resolved);
-      const util::Status status =
-          obs::appendRunHistory(store, "serve", threads, true, totalSeconds);
-      if (!status.isOk()) {
-        std::cerr << "[history] append failed: " << status.toString() << '\n';
-      }
+  if (const char* history = std::getenv("SCA_HISTORY");
+      history != nullptr && *history != '\0') {
+    run.historyPath = obs::configuredHistoryPath();
+  }
+  if (!run.manifestPath.empty() || !run.historyPath.empty()) {
+    if (const util::Status status = obs::writeRunRecord(run);
+        !status.isOk()) {
+      std::cerr << "[record] write failed: " << status.toString() << '\n';
     }
   }
 
@@ -628,8 +563,9 @@ int cmdServeReport(const std::vector<std::string>& args) {
   std::size_t slowestN = 5;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--slowest" && i + 1 < args.size()) {
-      slowestN = static_cast<std::size_t>(
-          std::max(0LL, std::atoll(args[++i].c_str())));
+      const std::optional<std::size_t> value = util::parseSize(args[++i]);
+      if (!value) return usage();
+      slowestN = *value;
     } else {
       return usage();
     }
@@ -648,9 +584,10 @@ int cmdPostmortem(const std::vector<std::string>& args) {
   std::string path;
   std::size_t eventsPerThread = 10;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--events") {
-      if (i + 1 >= args.size()) return usage();
-      eventsPerThread = std::strtoull(args[++i].c_str(), nullptr, 10);
+    if (args[i] == "--events" && i + 1 < args.size()) {
+      const std::optional<std::size_t> value = util::parseSize(args[++i]);
+      if (!value) return usage();
+      eventsPerThread = *value;
     } else if (path.empty() && args[i].rfind("--", 0) != 0) {
       path = args[i];
     } else {
